@@ -120,21 +120,14 @@ type Chain struct {
 	probe     Probe
 	probeBase Stats
 
-	// tables holds the precomputed power and integer acceptance
-	// threshold tables of the Metropolis filters (see thresholds.go).
-	tables acceptTables
-
-	// model is the dynamics the chain runs (model.go). fast marks the
-	// built-in separation model, which Step routes through the original
-	// devirtualized kernel; every other model runs the generic table-driven
-	// path below. coup is the full coupling vector in model order; coupNow
-	// aliases coup for unscheduled models and holds the scheduler's
-	// effective energy couplings otherwise. mt is the generic acceptance
-	// table (built only when the generic path is live), dE the reusable
-	// exponent scratch, and gather a persistent gather target so passing
-	// its address through the Model interface never allocates per step.
+	// model is the dynamics the chain runs (model.go). coup is the full
+	// coupling vector in model order; coupNow aliases coup for unscheduled
+	// models and holds the scheduler's effective energy couplings
+	// otherwise. mt is the acceptance table built from coupNow, dE the
+	// reusable exponent scratch, and gather a persistent gather target so
+	// passing its address through the Model interface never allocates per
+	// step.
 	model   Model
-	fast    bool
 	coup    []float64
 	coupNow []float64
 	mt      modelTables
@@ -161,41 +154,11 @@ func New(cfg *psys.Config, params Params) (*Chain, error) {
 // NewWithModel creates a chain running model m on cfg with the given full
 // coupling vector (nil selects the model's defaults). params supplies the
 // seed and the swap switch; its Lambda/Gamma are normalized from the
-// model's couplings of those names (1 when absent) so legacy surfaces
-// reading Params stay meaningful. The built-in separation model runs the
-// original devirtualized kernel; any other model runs the generic
-// table-driven path, with scheduled models (Scheduler) rebuilding their
-// acceptance tables at stage boundaries.
+// model's couplings of those names (see bindModel). Scheduled models
+// (Scheduler) rebuild their acceptance tables at stage boundaries.
 func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Chain, error) {
-	if m == nil {
-		m = Separation
-	}
-	if b, ok := m.(Binder); ok {
-		m = b.Bind(cfg.NumColors())
-	}
-	if coup == nil {
-		coup = DefaultCouplings(m)
-	} else {
-		coup = append([]float64(nil), coup...)
-	}
-	_, fast := m.(separationModel)
-	if fast {
-		params.Lambda, params.Gamma = coup[0], coup[1]
-	} else {
-		params.Lambda, params.Gamma = 1, 1
-		if i := CouplingIndex(m, "lambda"); i >= 0 {
-			params.Lambda = coup[i]
-		}
-		if i := CouplingIndex(m, "gamma"); i >= 0 {
-			params.Gamma = coup[i]
-		}
-	}
-	// Validate params first so the fast path keeps its legacy error text,
-	// then the full coupling vector (which also covers non-energy knobs).
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ValidateCouplings(m, coup); err != nil {
+	m, params, coup, err := bindModel(m, cfg.NumColors(), params, coup)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.N() == 0 {
@@ -205,55 +168,35 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 		return nil, ErrDisconnected
 	}
 	c := &Chain{
-		cfg:    cfg,
-		params: params,
-		rand:   rng.NewBuffered(params.Seed),
-		model:  m,
-		fast:   fast,
-		coup:   coup,
+		cfg:     cfg,
+		params:  params,
+		rand:    rng.NewBuffered(params.Seed),
+		model:   m,
+		coup:    coup,
+		coupNow: coup,
+		dE:      make([]int8, m.NumExponents()),
+		nextReb: math.MaxUint64,
+	}
+	if s, ok := m.(Scheduler); ok {
+		c.sched, c.coupNow = s, append([]float64(nil), coup...)
 	}
 	c.positions = cfg.Points()
 	c.reindex()
-	if c.fast {
-		c.coupNow = c.coup
-		c.nextReb = math.MaxUint64
-		c.rebuildTables()
-		return c, nil
-	}
-	c.dE = make([]int8, m.NumExponents())
-	if s, ok := m.(Scheduler); ok {
-		c.sched = s
-		c.coupNow = append([]float64(nil), c.coup...)
-		c.syncSchedule()
-	} else {
-		c.coupNow = c.coup
-		c.nextReb = math.MaxUint64
-		c.mt.rebuild(c.model, c.coupNow[:m.NumExponents()])
-	}
+	c.retune()
 	return c, nil
 }
 
-// syncSchedule recomputes the effective energy couplings for the chain's
-// current absolute step count and rebuilds the acceptance tables. Called
-// at construction, after a checkpoint restore, and from the step loop
-// when the scheduler's announced boundary is crossed.
-func (c *Chain) syncSchedule() {
+// retune recomputes the effective energy couplings for the chain's
+// current absolute step count (scheduled models only) and rebuilds the
+// acceptance tables from them. Called at construction, after a checkpoint
+// restore or a coupling change, and from Step when the scheduler's
+// announced boundary is reached.
+func (c *Chain) retune() {
 	k := c.model.NumExponents()
-	c.nextReb = c.sched.Effective(c.coup, c.stats.Steps, c.coupNow[:k])
-	c.mt.rebuild(c.model, c.coupNow[:k])
-}
-
-// forceGeneric reroutes a chain off the devirtualized separation fast
-// path and onto the generic model kernel. Differential tests use it to
-// pin the two paths bit-identical; it is not meaningful for chains
-// already on the generic path.
-func (c *Chain) forceGeneric() {
-	if !c.fast {
-		return
+	if c.sched != nil {
+		c.nextReb = c.sched.Effective(c.coup, c.stats.Steps, c.coupNow[:k])
 	}
-	c.fast = false
-	c.dE = make([]int8, c.model.NumExponents())
-	c.mt.rebuild(c.model, c.coupNow[:c.model.NumExponents()])
+	c.mt.rebuild(c.model, c.coupNow[:k])
 }
 
 // Model returns the dynamics the chain runs.
@@ -371,120 +314,54 @@ func (c *Chain) N() int { return len(c.positions) }
 // Step performs one iteration of Markov chain M (Algorithm 1) and reports
 // its outcome. The proposal is evaluated through the table-driven kernel:
 // one GatherPair reads the joint (l, lp) neighborhood from the dense store
-// into packed masks, movement validity is a single table probe, and the
-// Metropolis exponents are popcount differences indexing precomputed
+// into packed masks, movement validity is a single probe of the model's
+// table, the model extracts the Metropolis exponents (popcount
+// differences for the paper's dynamics), and those index precomputed
 // integer acceptance thresholds. The kernel consumes the identical random
 // draws and makes the identical decisions as the reference call chain
 // (Degree/Property4/Property5/Float64), which the committed golden
 // trajectories and the psys differential fuzz targets enforce.
+//
+// A pending probe batch is published before the step is counted, so every
+// batch holds whole steps. The gather lands in a persistent chain field so
+// passing its address through the Model interface never allocates.
 func (c *Chain) Step() Outcome {
-	if !c.fast {
-		return c.stepModel()
-	}
-	c.stats.Steps++
 	if c.probe != nil && c.stats.Steps-c.probeBase.Steps >= probeBatch {
 		c.FlushProbe()
 	}
-	l := c.positions[c.rand.Intn(len(c.positions))]
-	dir := lattice.Direction(c.rand.Intn(lattice.NumDirections))
-	g := c.cfg.GatherPair(l, dir)
-
-	if _, occupied := g.LpColor(); occupied {
-		if o := c.trySwap(l, l.Neighbor(dir), &g); o != Rejected {
-			return o
-		}
-		c.stats.Rejected++
-		return Rejected
+	if c.stats.Steps >= c.nextReb {
+		c.retune()
 	}
-	if o := c.tryMove(l, l.Neighbor(dir), &g); o != Rejected {
-		return o
-	}
-	c.stats.Rejected++
-	return Rejected
-}
-
-// stepModel is Step for a chain on the generic model kernel: the same
-// draw sequence and proposal structure as the fast path, with validity
-// probed from the model-built tables and exponents extracted through the
-// Model interface into the chain's scratch vector. The gather lands in a
-// persistent chain field so passing its address through the interface
-// never allocates. Scheduled models rebuild their acceptance tables when
-// the step counter crosses the scheduler's announced boundary (Steps was
-// already incremented, hence the −1).
-func (c *Chain) stepModel() Outcome {
 	c.stats.Steps++
-	if c.probe != nil && c.stats.Steps-c.probeBase.Steps >= probeBatch {
-		c.FlushProbe()
-	}
-	if c.stats.Steps-1 >= c.nextReb {
-		c.syncSchedule()
-	}
 	l := c.positions[c.rand.Intn(len(c.positions))]
 	dir := lattice.Direction(c.rand.Intn(lattice.NumDirections))
 	c.gather = c.cfg.GatherPair(l, dir)
 	g := &c.gather
 
 	if _, occupied := g.LpColor(); occupied {
-		if o := c.trySwapModel(l, l.Neighbor(dir), g); o != Rejected {
+		if o := c.trySwap(l, l.Neighbor(dir), g); o != Rejected {
 			return o
 		}
 		c.stats.Rejected++
 		return Rejected
 	}
-	if o := c.tryMoveModel(l, l.Neighbor(dir), g); o != Rejected {
+	if o := c.tryMove(l, l.Neighbor(dir), g); o != Rejected {
 		return o
 	}
 	c.stats.Rejected++
 	return Rejected
 }
 
-// tryMoveModel is tryMove on the generic kernel.
-func (c *Chain) tryMoveModel(l, lp lattice.Point, g *psys.PairGather) Outcome {
+// tryMove implements steps 3–8 of Algorithm 1: P expands toward the
+// unoccupied node lp and contracts there if the model's movement
+// conditions and the Metropolis filter allow, otherwise contracts back to
+// l.
+func (c *Chain) tryMove(l, lp lattice.Point, g *psys.PairGather) Outcome {
 	if !c.mt.moveOK[g.Dir()][g.Occ()] {
-		return Rejected
+		return Rejected // conditions (i) e ≠ 5 and (ii) Property 4 or 5
 	}
 	c.model.MoveExponents(g, c.dE)
 	if !c.accept(c.mt.thresh[c.mt.flat(c.dE)]) {
-		return Rejected
-	}
-	c.applyMove(l, lp)
-	return Moved
-}
-
-// trySwapModel is trySwap on the generic kernel. The model may veto the
-// swap outright (no draw consumed); an accepted same-color swap is a
-// no-op on the configuration and counts as Rejected, as on the fast path.
-func (c *Chain) trySwapModel(l, lp lattice.Point, g *psys.PairGather) Outcome {
-	if c.params.DisableSwaps {
-		return Rejected
-	}
-	if !c.model.SwapExponents(g, c.dE) {
-		return Rejected
-	}
-	if !c.accept(c.mt.thresh[c.mt.flat(c.dE)]) {
-		return Rejected
-	}
-	ci, _ := g.LColor()
-	cj, _ := g.LpColor()
-	if ci == cj {
-		return Rejected
-	}
-	if err := c.cfg.ApplySwap(l, lp); err != nil {
-		panic("core: invariant violation applying swap: " + err.Error())
-	}
-	c.stats.Swaps++
-	return Swapped
-}
-
-// tryMove implements steps 3–8 of Algorithm 1: P expands toward the
-// unoccupied node lp and contracts there if the movement conditions and the
-// Metropolis filter allow, otherwise contracts back to l.
-func (c *Chain) tryMove(l, lp lattice.Point, g *psys.PairGather) Outcome {
-	if !g.MoveOK() {
-		return Rejected // conditions (i) e ≠ 5 and (ii) Property 4 or 5
-	}
-	dLambda, dGamma := g.MoveExponents()
-	if !c.accept(c.tables.moveThreshold(dLambda, dGamma)) {
 		return Rejected // condition (iii)
 	}
 	c.applyMove(l, lp)
@@ -492,7 +369,7 @@ func (c *Chain) tryMove(l, lp lattice.Point, g *psys.PairGather) Outcome {
 }
 
 // applyMove commits an accepted move, maintaining the particle index and
-// counters. Shared by the fast and generic kernels.
+// counters.
 func (c *Chain) applyMove(l, lp lattice.Point) {
 	idx := c.posIndex[c.posWin.Index(l)]
 	if err := c.cfg.ApplyMove(l, lp); err != nil {
@@ -509,15 +386,20 @@ func (c *Chain) applyMove(l, lp lattice.Point) {
 }
 
 // trySwap implements steps 9–10 of Algorithm 1: P at l and Q at lp exchange
-// positions with probability given by the change in same-color adjacencies.
-// Swaps between same-colored particles are accepted with probability γ^{−2}
-// but have no effect on the configuration; they are counted as Rejected so
-// that Swaps counts configuration-changing events.
+// positions with probability given by the model's swap exponents (for the
+// paper's dynamics, the change in same-color adjacencies). The model may
+// veto the swap outright, consuming no draw. Swaps between same-colored
+// particles are accepted with probability γ^{−2} but have no effect on the
+// configuration; they are counted as Rejected so that Swaps counts
+// configuration-changing events.
 func (c *Chain) trySwap(l, lp lattice.Point, g *psys.PairGather) Outcome {
 	if c.params.DisableSwaps {
 		return Rejected
 	}
-	if !c.accept(c.tables.swapThreshold(g.SwapExponent())) {
+	if !c.model.SwapExponents(g, c.dE) {
+		return Rejected
+	}
+	if !c.accept(c.mt.thresh[c.mt.flat(c.dE)]) {
 		return Rejected
 	}
 	ci, _ := g.LColor()
@@ -566,13 +448,8 @@ func (c *Chain) AbsorbStats(st Stats) {
 	c.probeBase.Rejected += st.Rejected
 }
 
-// Run performs steps iterations.
-func (c *Chain) Run(steps uint64) {
-	for i := uint64(0); i < steps; i++ {
-		c.Step()
-	}
-	c.FlushProbe()
-}
+// Run performs steps iterations: RunContext without cancellation.
+func (c *Chain) Run(steps uint64) { c.RunContext(context.Background(), steps) }
 
 // cancelCheckInterval is the number of steps RunContext performs between
 // polls of the context: large enough that the poll is free relative to the
@@ -580,51 +457,23 @@ func (c *Chain) Run(steps uint64) {
 const cancelCheckInterval = 8192
 
 // RunContext performs up to steps iterations, polling ctx between batches
-// of cancelCheckInterval iterations. It returns the number of iterations
-// actually performed, together with ctx.Err() if the run was cut short.
-// Because the poll happens only at batch boundaries, a cancelled run leaves
-// the chain in a valid state from which it can be resumed or checkpointed.
+// of cancelCheckInterval iterations, and flushes the probe before it
+// returns. It returns the number of iterations actually performed,
+// together with ctx.Err() if the run was cut short. Because the poll
+// happens only at batch boundaries, a cancelled run leaves the chain in a
+// valid state from which it can be resumed or checkpointed.
 func (c *Chain) RunContext(ctx context.Context, steps uint64) (uint64, error) {
+	defer c.FlushProbe()
 	var done uint64
 	for done < steps {
 		if err := ctx.Err(); err != nil {
-			c.FlushProbe()
 			return done, err
 		}
-		batch := uint64(cancelCheckInterval)
-		if steps-done < batch {
-			batch = steps - done
-		}
+		batch := min(steps-done, cancelCheckInterval)
 		for i := uint64(0); i < batch; i++ {
 			c.Step()
 		}
 		done += batch
-		c.FlushProbe()
 	}
 	return done, nil
-}
-
-// RunWith performs steps iterations, invoking observe every interval
-// iterations (and once at the end if steps is not a multiple). The callback
-// receives the number of completed iterations; it may inspect the live
-// configuration via Config but must not mutate it. If observe returns false
-// the run stops early.
-func (c *Chain) RunWith(steps, interval uint64, observe func(done uint64) bool) {
-	if interval == 0 {
-		interval = 1
-	}
-	for done := uint64(0); done < steps; {
-		batch := interval
-		if done+batch > steps {
-			batch = steps - done
-		}
-		for i := uint64(0); i < batch; i++ {
-			c.Step()
-		}
-		done += batch
-		c.FlushProbe()
-		if !observe(done) {
-			return
-		}
-	}
 }

@@ -224,34 +224,6 @@ func TestDisableSwapsNeverSwaps(t *testing.T) {
 	}
 }
 
-func TestRunWithObserves(t *testing.T) {
-	cfg := mustInitial(t, LayoutSpiral, []int{5, 5}, 4)
-	ch, err := New(cfg, Params{Lambda: 2, Gamma: 2, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ticks []uint64
-	ch.RunWith(2500, 1000, func(done uint64) bool {
-		ticks = append(ticks, done)
-		return true
-	})
-	if len(ticks) != 3 || ticks[0] != 1000 || ticks[1] != 2000 || ticks[2] != 2500 {
-		t.Fatalf("ticks = %v", ticks)
-	}
-	if ch.Stats().Steps != 2500 {
-		t.Fatalf("steps = %d", ch.Stats().Steps)
-	}
-	// Early stop.
-	count := 0
-	ch.RunWith(10000, 100, func(uint64) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("observer called %d times after early stop", count)
-	}
-}
-
 func TestOutcomeString(t *testing.T) {
 	for _, o := range []Outcome{Rejected, Moved, Swapped} {
 		if o.String() == "" {

@@ -50,7 +50,7 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		Config: c.Snapshot(),
 		Order:  order,
 	}
-	if !c.fast {
+	if c.model != Separation {
 		cp.Model = c.model.Name()
 		cp.Couplings = c.Couplings()
 	}
@@ -122,7 +122,7 @@ func Resume(cp *Checkpoint) (*Chain, error) {
 		// Effective couplings are a function of the absolute step count,
 		// which was just restored: recompute them so the resumed chain's
 		// acceptance tables match the checkpointed chain's exactly.
-		ch.syncSchedule()
+		ch.retune()
 	}
 	return ch, nil
 }
@@ -133,7 +133,7 @@ func Resume(cp *Checkpoint) (*Chain, error) {
 // escape the metastability visible in long simulation runs. The stationary
 // characterization of Lemma 9 applies only while parameters are held fixed.
 func (c *Chain) SetParams(params Params) error {
-	if !c.fast {
+	if c.model != Separation {
 		return fmt.Errorf("core: SetParams applies only to the separation model (chain runs %q); use SetCouplings", c.model.Name())
 	}
 	if err := params.Validate(); err != nil {
@@ -141,7 +141,7 @@ func (c *Chain) SetParams(params Params) error {
 	}
 	c.params = params
 	c.coup[0], c.coup[1] = params.Lambda, params.Gamma
-	c.rebuildTables()
+	c.retune()
 	return nil
 }
 
@@ -154,21 +154,7 @@ func (c *Chain) SetCouplings(coup []float64) error {
 		return err
 	}
 	copy(c.coup, coup)
-	if c.fast {
-		c.params.Lambda, c.params.Gamma = coup[0], coup[1]
-		c.rebuildTables()
-		return nil
-	}
-	if i := CouplingIndex(c.model, "lambda"); i >= 0 {
-		c.params.Lambda = coup[i]
-	}
-	if i := CouplingIndex(c.model, "gamma"); i >= 0 {
-		c.params.Gamma = coup[i]
-	}
-	if c.sched != nil {
-		c.syncSchedule()
-	} else {
-		c.mt.rebuild(c.model, c.coupNow[:c.model.NumExponents()])
-	}
+	c.params.Lambda, c.params.Gamma = lambdaGamma(c.model, c.coup)
+	c.retune()
 	return nil
 }

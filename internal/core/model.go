@@ -14,16 +14,15 @@ import (
 // This file defines the pluggable-dynamics substrate: a Model is a local
 // Hamiltonian plus a move-validity predicate, expressed in exactly the
 // shape the table-driven kernel consumes. The kernel itself (chain.go,
-// sharded.go) stays table-driven for every model — at init it asks the
-// model for its validity decision on each of the 6×256 (direction, ring
-// occupancy) cells and for its coupling constants, and precomputes one
-// integer acceptance threshold per exponent vector, so a step under any
-// model is still: one gather, one table probe, a few popcounts, one
+// sharded.go) is one table-driven path for every model — at init it asks
+// the model for its validity decision on each of the 6×256 (direction,
+// ring occupancy) cells and for its coupling constants, and precomputes
+// one integer acceptance threshold per exponent vector, so a step under
+// any model is still: one gather, one table probe, a few popcounts, one
 // integer compare. The paper's separation dynamics (Algorithm 1) is the
-// first registered model and runs bit-identical to the pre-substrate
-// kernel; the alignment chain of Kedia–Oh–Randall and an annealed
-// compression→separation schedule prove the substrate opens new
-// workloads without touching the executors.
+// first registered model and reproduces the committed golden
+// trajectories; the alignment chain of Kedia–Oh–Randall and an annealed
+// compression→separation schedule run through the same kernel.
 
 // MaxModelExp bounds the magnitude of every exponent a model may return:
 // DeltaExponents results must lie in [-MaxModelExp, MaxModelExp]. The
@@ -242,72 +241,119 @@ func CouplingIndex(m Model, name string) int {
 	return -1
 }
 
-// modelTables is the generic counterpart of acceptTables: per-direction
-// validity tables and a flat integer acceptance-threshold table over the
-// model's full exponent-vector space, rebuilt from any Model at init (and
-// at schedule boundaries). The serial chain embeds one; the sharded
-// executor shares a single rebuilt copy across its read-only workers.
-type modelTables struct {
-	k   int // exponent-vector length (model.NumExponents)
-	dim int // 2·maxExp + 1, the per-exponent index range
+// bindModel is the construction step the serial chain and the sharded
+// executor share. It binds m to the configuration's color count (nil
+// selects Separation), copies coup or takes the model's defaults, sets
+// params.Lambda/Gamma from the couplings of those names so surfaces
+// reading Params stay meaningful, and validates both — params first, so a
+// bad λ or γ is reported in Params' own terms.
+func bindModel(m Model, numColors int, params Params, coup []float64) (Model, Params, []float64, error) {
+	if m == nil {
+		m = Separation
+	}
+	if b, ok := m.(Binder); ok {
+		m = b.Bind(numColors)
+	}
+	if coup == nil {
+		coup = DefaultCouplings(m)
+	} else {
+		coup = append([]float64(nil), coup...)
+	}
+	params.Lambda, params.Gamma = lambdaGamma(m, coup)
+	if err := params.Validate(); err != nil {
+		return nil, params, nil, err
+	}
+	if err := ValidateCouplings(m, coup); err != nil {
+		return nil, params, nil, err
+	}
+	return m, params, coup, nil
+}
 
+// lambdaGamma returns the couplings of m named "lambda" and "gamma", 1
+// for a model that declares none.
+func lambdaGamma(m Model, coup []float64) (lambda, gamma float64) {
+	lambda, gamma = 1, 1
+	if i := CouplingIndex(m, "lambda"); i >= 0 {
+		lambda = coup[i]
+	}
+	if i := CouplingIndex(m, "gamma"); i >= 0 {
+		gamma = coup[i]
+	}
+	return lambda, gamma
+}
+
+// modelTables holds a model's per-direction validity tables and a flat
+// integer acceptance-threshold table over its full exponent-vector space,
+// rebuilt at init (and at schedule boundaries). The serial chain embeds
+// one; the sharded executor shares a single rebuilt copy across its
+// read-only workers.
+type modelTables struct {
 	// moveOK[d][m] caches model.Valid(d, m).
 	moveOK [lattice.NumDirections][1 << 8]bool
 
 	// thresh[flat(dE)] encodes min(1, Π_i eff_i^dE_i) as the integer
-	// acceptance threshold; len(thresh) = dim^k. Moves and swaps share the
-	// table — they differ only in which exponents are nonzero.
+	// acceptance threshold; len(thresh) = expDim^k for k exponents. Moves
+	// and swaps share the table — they differ only in which exponents are
+	// nonzero.
 	thresh []uint64
 }
 
+// expDim is the per-exponent index range of the threshold table.
+const expDim = 2*maxExp + 1
+
 // rebuild recomputes the tables for m at effective energy couplings eff
-// (length k). The per-vector probability product is formed left to right
+// (length k). The per-vector probability product is formed right to left
 // from a 1.0 accumulator, so for the separation model (eff = [λ, γ]) the
-// float64 value is exactly the powLambda[a]·powGamma[b] product the
-// hardwired tables use — the thresholds, and hence every acceptance
-// decision, are bit-identical.
+// float64 value is exactly the seed implementation's λ^a·γ^b and every
+// acceptance decision is bit-identical to it. The table is filled row by
+// row in flat's order: the last exponent varies along a row, and an
+// odometer over the other exponents' digits steps from row to row, which
+// keeps the loop free of divisions.
 func (t *modelTables) rebuild(m Model, eff []float64) {
-	k := m.NumExponents()
-	t.k, t.dim = k, 2*maxExp+1
 	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
 		for occ := 0; occ < 1<<8; occ++ {
 			t.moveOK[d][occ] = m.Valid(d, uint8(occ))
 		}
 	}
-	pow := make([][]float64, k)
-	for i := 0; i < k; i++ {
-		pow[i] = make([]float64, t.dim)
-		for e := -maxExp; e <= maxExp; e++ {
-			pow[i][e+maxExp] = math.Pow(eff[i], float64(e))
-		}
-	}
+	k := m.NumExponents()
+	pow := make([]float64, k*expDim) // pow[i·expDim + e + maxExp] = eff_i^e
 	size := 1
 	for i := 0; i < k; i++ {
-		size *= t.dim
+		for e := -maxExp; e <= maxExp; e++ {
+			pow[i*expDim+e+maxExp] = math.Pow(eff[i], float64(e))
+		}
+		size *= expDim
 	}
 	if cap(t.thresh) < size {
 		t.thresh = make([]uint64, size)
 	}
 	t.thresh = t.thresh[:size]
-	for idx := 0; idx < size; idx++ {
-		prob := 1.0
-		rem := idx
-		for i := k - 1; i >= 0; i-- {
-			prob *= pow[i][rem%t.dim]
-			rem /= t.dim
+	digit := make([]int, k) // digit[i] = dE_i + maxExp for i < k−1
+	last := pow[(k-1)*expDim:]
+	for row := 0; row < size; row += expDim {
+		for j, prob := range last {
+			for i := k - 2; i >= 0; i-- {
+				prob *= pow[i*expDim+digit[i]]
+			}
+			t.thresh[row+j] = acceptThreshold(prob)
 		}
-		t.thresh[idx] = acceptThreshold(prob)
+		for i := k - 2; i >= 0; i-- {
+			if digit[i]++; digit[i] < expDim {
+				break
+			}
+			digit[i] = 0
+		}
 	}
 }
 
 // flat maps an exponent vector to its threshold-table index, most
-// significant exponent first: Σ_i (dE_i + maxExp)·dim^(k−1−i). A vector
+// significant exponent first: Σ_i (dE_i + maxExp)·expDim^(k−1−i). A vector
 // outside ±maxExp panics on the table probe — a loud failure for a model
 // violating the MaxModelExp contract, never a silent wrong threshold.
 func (t *modelTables) flat(dE []int8) int {
 	idx := 0
 	for _, e := range dE {
-		idx = idx*t.dim + int(e) + maxExp
+		idx = idx*expDim + int(e) + maxExp
 	}
 	return idx
 }

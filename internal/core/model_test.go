@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"sops/internal/lattice"
-	"sops/internal/psys"
 )
 
 // TestModelRegistry pins the registry contract: the built-in models are
@@ -62,71 +61,82 @@ func TestValidateCouplings(t *testing.T) {
 	}
 }
 
-// TestModelTablesMatchLegacy verifies the central bit-identity claim at the
-// table level: the generic modelTables built from the separation model hold
-// exactly the thresholds of the hardwired acceptTables, for every reachable
-// exponent vector, across bias regimes.
-func TestModelTablesMatchLegacy(t *testing.T) {
-	for _, p := range []Params{
-		{Lambda: 4, Gamma: 4},
-		{Lambda: 0.5, Gamma: 0.7},
-		{Lambda: 1, Gamma: 1},
-		{Lambda: 6.25, Gamma: 81.0 / 79.0},
-	} {
-		var legacy acceptTables
-		legacy.rebuild(p)
-		var mt modelTables
-		mt.rebuild(Separation, []float64{p.Lambda, p.Gamma})
-		dE := make([]int8, 2)
-		for a := -maxExp; a <= maxExp; a++ {
-			for b := -maxExp; b <= maxExp; b++ {
-				dE[0], dE[1] = int8(a), int8(b)
-				if got, want := mt.thresh[mt.flat(dE)], legacy.moveThreshold(a, b); got != want {
-					t.Fatalf("λ=%g γ=%g: thresh(%d,%d) = %d, legacy %d", p.Lambda, p.Gamma, a, b, got, want)
-				}
-			}
+// checkModelTables holds mt, built for m at effective couplings eff, to
+// the seed rule: every exponent vector dE indexes the threshold
+// acceptThreshold(Π_i eff_i^dE_i), the product of math.Pow terms formed
+// right to left as rebuild forms it. For separation (eff = [λ, γ]) that
+// is exactly the seed's acceptThreshold(λ^a·γ^b), and γ^k at the swap
+// vectors (0, k). Every validity cell must match m.Valid.
+func checkModelTables(t testing.TB, mt *modelTables, m Model, eff []float64) {
+	t.Helper()
+	dE := make([]int8, len(eff))
+	for i := range dE {
+		dE[i] = -maxExp
+	}
+	for {
+		prob := 1.0
+		for i := len(eff) - 1; i >= 0; i-- {
+			prob *= math.Pow(eff[i], float64(dE[i]))
 		}
-		for k := -maxExp; k <= maxExp; k++ {
-			dE[0], dE[1] = 0, int8(k)
-			if got, want := mt.thresh[mt.flat(dE)], legacy.swapThreshold(k); got != want {
-				t.Fatalf("λ=%g γ=%g: swap thresh(%d) = %d, legacy %d", p.Lambda, p.Gamma, k, got, want)
-			}
+		if got, want := mt.thresh[mt.flat(dE)], acceptThreshold(prob); got != want {
+			t.Fatalf("%s at %v: thresh%v = %d, seed rule %d", m.Name(), eff, dE, got, want)
 		}
-		for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
-			for occ := 0; occ < 1<<8; occ++ {
-				if mt.moveOK[d][occ] != psys.MoveOK(d, uint8(occ)) {
-					t.Fatalf("moveOK[%v][%#x] diverges from psys.MoveOK", d, occ)
-				}
+		i := len(dE) - 1
+		for ; i >= 0 && dE[i] == maxExp; i-- {
+			dE[i] = -maxExp
+		}
+		if i < 0 {
+			break
+		}
+		dE[i]++
+	}
+	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+		for occ := 0; occ < 1<<8; occ++ {
+			if mt.moveOK[d][occ] != m.Valid(d, uint8(occ)) {
+				t.Fatalf("%s: moveOK[%v][%#x] diverges from Valid", m.Name(), d, occ)
 			}
 		}
 	}
 }
 
-// FuzzModelTables fuzzes the bias parameters and requires the generic
-// separation tables to stay bit-identical to the legacy tables everywhere.
+// TestModelTablesMatchLegacy verifies the bit-identity claim at the table
+// level: the tables built from the separation model hold exactly the seed
+// implementation's thresholds for every reachable exponent vector, across
+// bias regimes, and a three-coupling model (alignment at k = 3) indexes
+// every threshold where flat looks for it. The alignment couplings are
+// chosen so their powers round, which makes the product order matter.
+func TestModelTablesMatchLegacy(t *testing.T) {
+	for _, tc := range []struct {
+		m   Model
+		eff []float64
+	}{
+		{Separation, []float64{4, 4}},
+		{Separation, []float64{0.5, 0.7}},
+		{Separation, []float64{1, 1}},
+		{Separation, []float64{6.25, 81.0 / 79.0}},
+		{Alignment.(Binder).Bind(3), []float64{1.3, 2.7, 1.9}},
+	} {
+		var mt modelTables
+		mt.rebuild(tc.m, tc.eff)
+		checkModelTables(t, &mt, tc.m, tc.eff)
+	}
+}
+
+// FuzzModelTables fuzzes the bias parameters and requires the separation
+// tables to stay bit-identical to the seed rule everywhere.
 func FuzzModelTables(f *testing.F) {
 	f.Add(4.0, 4.0)
 	f.Add(0.5, 0.5)
 	f.Add(1.0, 1e6)
 	f.Add(1e-6, 1.0247)
 	f.Fuzz(func(t *testing.T, lambda, gamma float64) {
-		p := Params{Lambda: lambda, Gamma: gamma}
-		if p.Validate() != nil {
+		if (Params{Lambda: lambda, Gamma: gamma}).Validate() != nil {
 			t.Skip()
 		}
-		var legacy acceptTables
-		legacy.rebuild(p)
+		eff := []float64{lambda, gamma}
 		var mt modelTables
-		mt.rebuild(Separation, []float64{lambda, gamma})
-		dE := make([]int8, 2)
-		for a := -maxExp; a <= maxExp; a++ {
-			for b := -maxExp; b <= maxExp; b++ {
-				dE[0], dE[1] = int8(a), int8(b)
-				if got, want := mt.thresh[mt.flat(dE)], legacy.moveThreshold(a, b); got != want {
-					t.Fatalf("λ=%g γ=%g: thresh(%d,%d) = %d, legacy %d", lambda, gamma, a, b, got, want)
-				}
-			}
-		}
+		mt.rebuild(Separation, eff)
+		checkModelTables(t, &mt, Separation, eff)
 	})
 }
 
@@ -139,72 +149,6 @@ func chainFingerprint(t *testing.T, c *Chain) (Stats, uint64, string) {
 		t.Fatal(err)
 	}
 	return c.Stats(), c.Config().Hash(), cp.Rng
-}
-
-// TestSeparationModelDifferential is the tentpole equivalence proof at the
-// trajectory level: the same seeded separation chain stepped through the
-// devirtualized fast path and through the generic Model interface produces
-// bit-identical trajectories — equal configurations, statistics and random
-// stream positions at every comparison point.
-func TestSeparationModelDifferential(t *testing.T) {
-	cfg, err := Initial(LayoutSpiral, Bichromatic(200), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := Params{Lambda: 4, Gamma: 4, Seed: 21}
-	fast, err := New(cfg.Clone(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := New(cfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.forceGeneric()
-	for leg := 0; leg < 20; leg++ {
-		fast.Run(5_000)
-		gen.Run(5_000)
-		fs, fh, fr := chainFingerprint(t, fast)
-		gs, gh, gr := chainFingerprint(t, gen)
-		if fs != gs {
-			t.Fatalf("leg %d: stats diverge: fast %+v generic %+v", leg, fs, gs)
-		}
-		if fh != gh {
-			t.Fatalf("leg %d: configurations diverge", leg)
-		}
-		if fr != gr {
-			t.Fatalf("leg %d: rng streams diverge", leg)
-		}
-	}
-}
-
-// TestSeparationModelDifferentialSwapless covers the DisableSwaps leg of
-// the same equivalence: the move-only kernel must also be bit-identical.
-func TestSeparationModelDifferentialSwapless(t *testing.T) {
-	cfg, err := Initial(LayoutLine, Bichromatic(120), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := Params{Lambda: 3, Gamma: 2, Seed: 77, DisableSwaps: true}
-	fast, err := New(cfg.Clone(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := New(cfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.forceGeneric()
-	fast.Run(60_000)
-	gen.Run(60_000)
-	fs, fh, fr := chainFingerprint(t, fast)
-	gs, gh, gr := chainFingerprint(t, gen)
-	if fs != gs || fh != gh || fr != gr {
-		t.Fatal("swapless fast and generic paths diverge")
-	}
-	if fs.Swaps != 0 {
-		t.Fatalf("DisableSwaps chain recorded %d swaps", fs.Swaps)
-	}
 }
 
 // TestAlignmentExponentsMatchEnergy is the correctness audit for the
@@ -468,9 +412,9 @@ func TestAnnealCheckpointExactResume(t *testing.T) {
 	}
 }
 
-// TestSetCouplingsGeneric covers mid-run retuning on the generic path:
-// SetParams is refused (couplings own the bias now), SetCouplings rebuilds
-// the tables, and a bad vector is rejected with the named error.
+// TestSetCouplingsGeneric covers mid-run retuning of a non-separation
+// model: SetParams is refused (couplings own the bias now), SetCouplings
+// rebuilds the tables, and a bad vector is rejected with the named error.
 func TestSetCouplingsGeneric(t *testing.T) {
 	cfg, err := Initial(LayoutSpiral, []int{12, 12}, 2)
 	if err != nil {
@@ -601,31 +545,8 @@ func TestShardedAnnealSchedule(t *testing.T) {
 	}
 }
 
-// BenchmarkChainStepModelGeneric is the pluggable-substrate overhead
-// gate: the exact workload of the root package's BenchmarkChainStep
-// (n = 100 bichromatic line, λ = γ = 4, burned in to the compressed
-// steady state) rerouted off the devirtualized separation fast path and
-// through the generic Model dispatch. CI maps this entry onto
-// BenchmarkChainStep in BENCH_PR4.json, so ns/op here bounds what the
-// interface seam costs every non-separation model; allocs/op must stay 0.
-func BenchmarkChainStepModelGeneric(b *testing.B) {
-	cfg := mustInitial(b, LayoutLine, Bichromatic(100), 1)
-	ch, err := New(cfg, Params{Lambda: 4, Gamma: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch.forceGeneric()
-	ch.Run(200_000) // burn in to the compressed steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.Step()
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
-}
-
 // BenchmarkChainStepAlignment measures a real non-separation workload on
-// the generic path: the 3-color alignment Hamiltonian at the same scale
+// the chain kernel: the 3-color alignment Hamiltonian at the same scale
 // as the separation kernel benchmarks.
 func BenchmarkChainStepAlignment(b *testing.B) {
 	cfg := mustInitial(b, LayoutLine, []int{34, 33, 33}, 1)

@@ -11,11 +11,11 @@ import (
 // separation/integration dynamics — re-expressed as the first registered
 // Model. Its Hamiltonian is E(σ) = −e(σ)·ln λ − a(σ)·ln γ over couplings
 // (λ, γ); its validity predicate is Degree(l) ≠ 5 ∧ (Property 4 ∨
-// Property 5), delegated to the psys kernel tables. The executors
-// recognize it and run the devirtualized fast path, but the generic
-// table-driven path produces bit-identical trajectories (pinned by
-// TestSeparationModelDifferential), so the model is also the conformance
-// reference for the substrate itself.
+// Property 5), delegated to the psys kernel tables. The executors run it
+// through the same table-driven kernel as every other model, and the
+// committed golden trajectories pin that kernel to the seed
+// implementation, so the model is also the conformance reference for the
+// substrate itself.
 type separationModel struct{}
 
 // Separation is the registered instance of the paper's dynamics.

@@ -53,7 +53,6 @@ import (
 type Sharded struct {
 	store   *psys.TileStore
 	params  Params
-	tables  acceptTables
 	workers int
 	opts    ShardedOptions
 
@@ -75,16 +74,13 @@ type Sharded struct {
 
 	locks [numStripes]sync.Mutex
 
-	// Pluggable-dynamics state, mirroring Chain: fast marks the built-in
-	// separation model (original worker kernel); any other model runs the
-	// generic worker against the shared read-only mt tables. For scheduled
-	// models the epoch driver clamps epoch budgets at schedule boundaries
-	// and rebuilds mt between epochs — workers never observe a table
-	// change mid-epoch. stepOff is the absolute step count of the run this
-	// executor continues (ShardedOptions.StepOffset), so schedules resume
-	// exactly.
+	// Dynamics state, mirroring Chain: every worker runs the model against
+	// the shared read-only mt tables. For scheduled models Run clamps
+	// epoch budgets at schedule boundaries and rebuilds mt between epochs
+	// — workers never observe a table change mid-epoch.
+	// stepOff is the absolute step count of the run this executor
+	// continues (ShardedOptions.StepOffset), so schedules resume exactly.
 	model   Model
-	fast    bool
 	coup    []float64
 	coupNow []float64
 	mt      modelTables
@@ -200,38 +196,11 @@ func NewShardedFromStore(store *psys.TileStore, params Params, opts ShardedOptio
 }
 
 func newSharded(store *psys.TileStore, positions []lattice.Point, params Params, m Model, coup []float64, opts ShardedOptions) (*Sharded, error) {
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
-	if m == nil {
-		m = Separation
-	}
-	if b, ok := m.(Binder); ok {
-		m = b.Bind(store.NumColors())
-	}
-	if coup == nil {
-		coup = DefaultCouplings(m)
-	} else {
-		coup = append([]float64(nil), coup...)
-	}
-	_, fast := m.(separationModel)
-	if fast {
-		params.Lambda, params.Gamma = coup[0], coup[1]
-	} else {
-		params.Lambda, params.Gamma = 1, 1
-		if i := CouplingIndex(m, "lambda"); i >= 0 {
-			params.Lambda = coup[i]
-		}
-		if i := CouplingIndex(m, "gamma"); i >= 0 {
-			params.Gamma = coup[i]
-		}
-	}
-	if err := params.Validate(); err != nil {
+	m, params, coup, err := bindModel(m, store.NumColors(), params, coup)
+	if err != nil {
 		return nil, err
 	}
-	if err := ValidateCouplings(m, coup); err != nil {
-		return nil, err
-	}
+	opts.Workers = max(opts.Workers, 1)
 	s := &Sharded{
 		store:     store,
 		params:    params,
@@ -242,34 +211,30 @@ func newSharded(store *psys.TileStore, positions []lattice.Point, params Params,
 		rngs:      make([]*rng.Buffered, opts.Workers),
 		wlogs:     make([][]MoveRecord, opts.Workers),
 		model:     m,
-		fast:      fast,
 		coup:      coup,
+		coupNow:   coup,
 		stepOff:   opts.StepOffset,
 		nextReb:   math.MaxUint64,
 	}
-	if s.fast {
-		s.coupNow = s.coup
-		s.tables.rebuild(params)
-	} else if sched, ok := m.(Scheduler); ok {
-		s.sched = sched
-		s.coupNow = append([]float64(nil), s.coup...)
-		s.syncSchedule(s.stepOff)
-	} else {
-		s.coupNow = s.coup
-		s.mt.rebuild(s.model, s.coupNow[:m.NumExponents()])
+	if sched, ok := m.(Scheduler); ok {
+		s.sched, s.coupNow = sched, append([]float64(nil), coup...)
 	}
+	s.retune(s.stepOff)
 	for w := range s.rngs {
 		s.rngs[w] = rng.NewBuffered(rng.SeedAt(opts.Seed, uint64(w)))
 	}
 	return s, nil
 }
 
-// syncSchedule recomputes the effective couplings for absolute step abs
-// and rebuilds the shared acceptance tables. Called only between epochs
-// (or at construction), never while workers run.
-func (s *Sharded) syncSchedule(abs uint64) {
+// retune recomputes the effective couplings for absolute step abs
+// (scheduled models only) and rebuilds the shared acceptance tables.
+// Called only between epochs (or at construction), never while workers
+// run.
+func (s *Sharded) retune(abs uint64) {
 	k := s.model.NumExponents()
-	s.nextReb = s.sched.Effective(s.coup, abs, s.coupNow[:k])
+	if s.sched != nil {
+		s.nextReb = s.sched.Effective(s.coup, abs, s.coupNow[:k])
+	}
 	s.mt.rebuild(s.model, s.coupNow[:k])
 }
 
@@ -360,7 +325,7 @@ func (s *Sharded) Run(ctx context.Context, steps uint64) (uint64, error) {
 			// coordination (workers never exceed their budget share).
 			abs := s.stepOff + s.stats.Steps
 			if abs >= s.nextReb {
-				s.syncSchedule(abs)
+				s.retune(abs)
 			}
 			if room := s.nextReb - abs; s.nextReb != math.MaxUint64 && room < budget {
 				budget = room
@@ -412,11 +377,7 @@ func (s *Sharded) runEpoch(budget uint64) uint64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if s.fast {
-				s.runWorker(w, parts[w], bandLo[w], bandHi[w], budgets[w], &escape, &results[w])
-			} else {
-				s.runWorkerModel(w, parts[w], bandLo[w], bandHi[w], budgets[w], &escape, &results[w])
-			}
+			s.runWorkerModel(w, parts[w], bandLo[w], bandHi[w], budgets[w], &escape, &results[w])
 		}(w)
 	}
 	wg.Wait()
@@ -547,118 +508,14 @@ func (s *Sharded) unlockRegion(stripes *[10]int, k int) {
 	}
 }
 
-// runWorker performs up to budget proposals for one band. parts is the
-// worker's owned particle segment (updated in place as moves are
-// accepted), [lo, hi) its row range.
-func (s *Sharded) runWorker(w int, parts []lattice.Point, lo, hi int, budget uint64, escape *atomic.Bool, res *workerResult) {
-	r := s.rngs[w]
-	single := s.workers == 1
-	record := s.opts.RecordLog
-	lockFreeLo, lockFreeHi := lo+bandMargin, hi-bandMargin
-	var st Stats
-	var flushed Stats
-	var stripes [10]int
-	wlog := s.wlogs[w]
-
-	sink := s.probe
-	if s.workerProbes != nil {
-		sink = s.workerProbes[w]
-	}
-	flush := func() {
-		if sink == nil {
-			return
-		}
-		sink.Add(st.Steps-flushed.Steps, st.Moves-flushed.Moves,
-			st.Swaps-flushed.Swaps, st.Rejected-flushed.Rejected)
-		flushed = st
-	}
-
-	for st.Steps < budget && !escape.Load() {
-		st.Steps++
-		idx := r.Intn(len(parts))
-		l := parts[idx]
-		dir := lattice.Direction(r.Intn(lattice.NumDirections))
-
-		locked := 0
-		if !single && (l.R < lockFreeLo || l.R >= lockFreeHi) {
-			locked = s.lockRegion(l, dir, &stripes)
-		}
-		g := s.store.GatherPair(l, dir)
-
-		if _, occupied := g.LpColor(); occupied {
-			// Swap attempt, mirroring Chain.trySwap: accepted same-color
-			// swaps are no-ops counted as rejected.
-			accepted := false
-			if !s.params.DisableSwaps && acceptDraw(r, s.tables.swapThreshold(g.SwapExponent())) {
-				ci, _ := g.LColor()
-				cj, _ := g.LpColor()
-				if ci != cj {
-					lp := l.Neighbor(dir)
-					if err := s.store.ApplySwap(l, lp); err != nil {
-						panic("core: invariant violation applying sharded swap: " + err.Error())
-					}
-					if record {
-						wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpSwap, L: l, Lp: lp})
-					}
-					st.Swaps++
-					accepted = true
-				}
-			}
-			if !accepted {
-				st.Rejected++
-			}
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
-			}
-		} else if g.MoveOK() {
-			dLambda, dGamma := g.MoveExponents()
-			if acceptDraw(r, s.tables.moveThreshold(dLambda, dGamma)) {
-				lp := l.Neighbor(dir)
-				if err := s.store.ApplyMove(l, lp); err != nil {
-					panic("core: invariant violation applying sharded move: " + err.Error())
-				}
-				if record {
-					wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpMove, L: l, Lp: lp})
-				}
-				parts[idx] = lp
-				st.Moves++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-				if lp.R < lo-bandCollar || lp.R >= hi+bandCollar {
-					// The particle left its collar: end the epoch so the
-					// next partition restores every band's margin headroom.
-					escape.Store(true)
-					break
-				}
-			} else {
-				st.Rejected++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-			}
-		} else {
-			st.Rejected++
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
-			}
-		}
-
-		if st.Steps-flushed.Steps >= shardProbeBatch {
-			flush()
-		}
-	}
-	flush()
-	s.wlogs[w] = wlog
-	res.stats = st
-}
-
-// runWorkerModel is runWorker on the generic model kernel: the identical
-// ownership, locking, collar and probe discipline, with validity probed
-// from the shared model-built tables and exponents extracted through the
-// Model interface into a per-worker scratch vector. The tables are
-// read-only for the whole epoch; models are required to be safe for
-// concurrent use.
+// runWorkerModel performs up to budget proposals for one band. parts is
+// the worker's owned particle segment (updated in place as moves are
+// accepted), [lo, hi) its row range. Validity is probed from the shared
+// model-built tables and exponents are extracted through the Model
+// interface into a per-worker scratch vector; the tables are read-only for
+// the whole epoch, and models are required to be safe for concurrent use.
+// Swaps mirror Chain.trySwap: accepted same-color swaps are no-ops counted
+// as rejected.
 func (s *Sharded) runWorkerModel(w int, parts []lattice.Point, lo, hi int, budget uint64, escape *atomic.Bool, res *workerResult) {
 	r := s.rngs[w]
 	single := s.workers == 1

@@ -41,53 +41,6 @@ func acceptThreshold(prob float64) uint64 {
 	return uint64(math.Ceil(prob * probScale))
 }
 
-// acceptTables holds the precomputed power tables and integer acceptance
-// thresholds of the Metropolis filters for one (λ, γ) pair. The serial
-// Chain embeds one; the sharded executor shares a single rebuilt copy
-// across its read-only workers, so every execution path makes decisions
-// through the identical tables.
-type acceptTables struct {
-	powLambda [2*maxExp + 1]float64 // λ^k for k in [-maxExp, maxExp]
-	powGamma  [2*maxExp + 1]float64 // γ^k
-
-	// moveThresh[(dλ+maxExp)·(2·maxExp+1) + dγ+maxExp] encodes
-	// min(1, λ^dλ·γ^dγ), swapThresh[k+maxExp] encodes min(1, γ^k).
-	moveThresh [(2*maxExp + 1) * (2*maxExp + 1)]uint64
-	swapThresh [2*maxExp + 1]uint64
-}
-
-// rebuild recomputes the power tables and the per-exponent acceptance
-// thresholds from params. The move thresholds are derived from the
-// identical float64 product powLambda[a]·powGamma[b] the seed
-// implementation formed per step, so the table-driven filter makes the
-// identical decision for every state.
-func (t *acceptTables) rebuild(params Params) {
-	for k := -maxExp; k <= maxExp; k++ {
-		t.powLambda[k+maxExp] = math.Pow(params.Lambda, float64(k))
-		t.powGamma[k+maxExp] = math.Pow(params.Gamma, float64(k))
-	}
-	for a := 0; a < 2*maxExp+1; a++ {
-		for b := 0; b < 2*maxExp+1; b++ {
-			t.moveThresh[a*(2*maxExp+1)+b] = acceptThreshold(t.powLambda[a] * t.powGamma[b])
-		}
-	}
-	for b := 0; b < 2*maxExp+1; b++ {
-		t.swapThresh[b] = acceptThreshold(t.powGamma[b])
-	}
-}
-
-// moveThreshold returns the acceptance threshold for a move with
-// Metropolis exponents (dλ, dγ).
-func (t *acceptTables) moveThreshold(dLambda, dGamma int) uint64 {
-	return t.moveThresh[(dLambda+maxExp)*(2*maxExp+1)+dGamma+maxExp]
-}
-
-// swapThreshold returns the acceptance threshold for a swap with
-// same-color adjacency change k.
-func (t *acceptTables) swapThreshold(k int) uint64 {
-	return t.swapThresh[k+maxExp]
-}
-
 // acceptDraw runs a Metropolis filter against a precomputed threshold
 // using draws from r, consuming one raw draw exactly when the seed
 // implementation did (prob < 1 ⟺ thresh < probScale).
@@ -97,10 +50,6 @@ func acceptDraw(r *rng.Buffered, thresh uint64) bool {
 	}
 	return r.Uint64()>>11 < thresh
 }
-
-// rebuildTables recomputes the chain's acceptance tables from its
-// current parameters.
-func (c *Chain) rebuildTables() { c.tables.rebuild(c.params) }
 
 // accept runs a Metropolis filter against a precomputed threshold on the
 // chain's own random stream.

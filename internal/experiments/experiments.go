@@ -151,13 +151,15 @@ func SwapAblation(n int, lambda, gamma, target float64, budget, checkEvery, seed
 			return res, err
 		}
 		reached := uint64(0)
-		ch.RunWith(budget, checkEvery, func(done uint64) bool {
+		for done := uint64(0); done < budget; {
+			batch := min(max(checkEvery, 1), budget-done)
+			ch.Run(batch)
+			done += batch
 			if metrics.SegregationIndex(ch.Config()) >= target {
 				reached = done
-				return false
+				break
 			}
-			return true
-		})
+		}
 		if disable {
 			res.WithoutSwaps = reached
 		} else {

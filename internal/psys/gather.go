@@ -123,11 +123,15 @@ func init() {
 // cell k: 0 vacant, color+1 occupied), the ring occupancy mask, and the
 // raw bytes at l and lp themselves. It carries everything one proposal of
 // Algorithm 1 needs, read from the store in a single gather.
+//
+// The l and lp bytes share one field so the struct has at most four: the
+// compiler then keeps a returned gather in registers and stores it field
+// by field, instead of through a stack temporary whose byte stores stall
+// the wide copy that follows.
 type PairGather struct {
 	ring uint64
 	occ  uint8
-	cl   uint8
-	clp  uint8
+	ends uint16 // raw byte at l (low) and at lp (high)
 	dir  lattice.Direction
 }
 
@@ -167,8 +171,7 @@ func (c *Config) GatherPair(l lattice.Point, dir lattice.Direction) PairGather {
 			}
 		}
 		g.ring, g.occ = ring, occ
-		g.cl = c.cells[base]
-		g.clp = c.cells[base+int(c.pairNb[dir])]
+		g.ends = uint16(c.cells[base]) | uint16(c.cells[base+int(c.pairNb[dir])])<<8
 		return g
 	}
 	t := &pairTables[dir]
@@ -182,10 +185,10 @@ func (c *Config) GatherPair(l lattice.Point, dir lattice.Direction) PairGather {
 	}
 	g.ring, g.occ = ring, occ
 	if col, ok := c.colorAt(l); ok {
-		g.cl = uint8(col) + 1
+		g.ends = uint16(col) + 1
 	}
 	if col, ok := c.colorAt(l.Neighbor(dir)); ok {
-		g.clp = uint8(col) + 1
+		g.ends |= (uint16(col) + 1) << 8
 	}
 	return g
 }
@@ -208,19 +211,14 @@ func PairCells(l lattice.Point, dir lattice.Direction) [pairRingSize + 2]lattice
 
 // LColor returns the color of the particle at l, if any.
 func (g *PairGather) LColor() (Color, bool) {
-	return Color(g.cl - 1), g.cl != 0
+	cl := uint8(g.ends)
+	return Color(cl - 1), cl != 0
 }
 
 // LpColor returns the color of the particle at lp, if any.
 func (g *PairGather) LpColor() (Color, bool) {
-	return Color(g.clp - 1), g.clp != 0
-}
-
-// MoveOK reports conditions (i) and (ii) of Algorithm 1 for moving the
-// particle at l to lp: Degree(l) ≠ 5 and Property 4 or Property 5 holds.
-// Meaningful only when lp is vacant.
-func (g *PairGather) MoveOK() bool {
-	return pairTables[g.dir].moveOK[g.occ]
+	clp := uint8(g.ends >> 8)
+	return Color(clp - 1), clp != 0
 }
 
 // colorHi returns a mask with the high bit of byte lane k set iff ring
@@ -246,7 +244,7 @@ func (g *PairGather) colorHi(col Color) uint64 {
 func (g *PairGather) MoveExponents() (dLambda, dGamma int) {
 	t := &pairTables[g.dir]
 	dLambda = bits.OnesCount8(g.occ&t.adjLp) - bits.OnesCount8(g.occ&t.adjL)
-	ci := g.colorHi(Color(g.cl - 1))
+	ci := g.colorHi(Color(uint8(g.ends) - 1))
 	dGamma = bits.OnesCount64(ci&t.adjLp64) - bits.OnesCount64(ci&t.adjL64)
 	return dLambda, dGamma
 }
@@ -276,9 +274,8 @@ func (g *PairGather) ColorCounts(col Color) (nl, nlp int) {
 
 // MoveOK probes the per-direction movement-validity table directly:
 // whether ring occupancy mask occ (with lp vacant) satisfies conditions
-// (i) and (ii) of Algorithm 1. This is the same table PairGather.MoveOK
-// consults; models that keep the paper's locality predicate delegate to it
-// when building their own validity tables.
+// (i) and (ii) of Algorithm 1. Models that keep the paper's locality
+// predicate delegate to it when building their own validity tables.
 func MoveOK(dir lattice.Direction, occ uint8) bool {
 	return pairTables[dir].moveOK[occ]
 }
@@ -290,12 +287,13 @@ func MoveOK(dir lattice.Direction, occ uint8) bool {
 // same-colored pairs, whose only changed adjacencies are their own edge
 // counted once from each side).
 func (g *PairGather) SwapExponent() int {
-	if g.cl == g.clp {
+	cl, clp := uint8(g.ends), uint8(g.ends>>8)
+	if cl == clp {
 		return -2
 	}
 	t := &pairTables[g.dir]
-	ci := g.colorHi(Color(g.cl - 1))
-	cj := g.colorHi(Color(g.clp - 1))
+	ci := g.colorHi(Color(cl - 1))
+	cj := g.colorHi(Color(clp - 1))
 	return bits.OnesCount64(ci&t.adjLp64) - bits.OnesCount64(ci&t.adjL64) +
 		bits.OnesCount64(cj&t.adjL64) - bits.OnesCount64(cj&t.adjLp64)
 }

@@ -42,7 +42,7 @@ func checkGatherAgainstReference(t *testing.T, c *Config, l lattice.Point, dir l
 
 	if lOcc && !lpOcc {
 		wantOK := c.Degree(l) != 5 && (c.Property4(l, lp) || c.Property5(l, lp))
-		if got := g.MoveOK(); got != wantOK {
+		if got := MoveOK(g.Dir(), g.Occ()); got != wantOK {
 			t.Fatalf("l=%v dir=%v: MoveOK %v, reference %v", l, dir, got, wantOK)
 		}
 		wantDL := c.DegreeExcluding(lp, l) - c.Degree(l)

@@ -522,8 +522,7 @@ func (s *TileStore) GatherPair(l lattice.Point, dir lattice.Direction) PairGathe
 				}
 			}
 			g.ring, g.occ = ring, occ
-			g.cl = tp.cells[base]
-			g.clp = tp.cells[base+int(tileNbOff[dir])]
+			g.ends = uint16(tp.cells[base]) | uint16(tp.cells[base+int(tileNbOff[dir])])<<8
 			return g
 		}
 		return g // absent tile: all ten cells vacant
@@ -538,8 +537,7 @@ func (s *TileStore) GatherPair(l lattice.Point, dir lattice.Direction) PairGathe
 		}
 	}
 	g.ring, g.occ = ring, occ
-	g.cl = s.cellAt(l)
-	g.clp = s.cellAt(l.Neighbor(dir))
+	g.ends = uint16(s.cellAt(l)) | uint16(s.cellAt(l.Neighbor(dir)))<<8
 	return g
 }
 

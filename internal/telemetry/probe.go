@@ -98,15 +98,19 @@ func (c Counters) SwapFraction() float64 {
 
 // Counters reads the probe's totals. Each counter is individually exact;
 // between a writer's batches the tuple can be mid-publish, so treat it as a
-// live reading, not a consistency point. After an engine's run returns (and
-// has flushed), the totals equal the engine's own statistics exactly.
+// live reading, not a consistency point. Steps is loaded last: Add
+// publishes steps first, so every outcome a reading counts has its step
+// counted too, and Moves+Swaps+Rejected never exceeds Steps. After an
+// engine's run returns (and has flushed), the totals equal the engine's
+// own statistics exactly.
 func (p *Probe) Counters() Counters {
-	return Counters{
-		Steps:    p.steps.v.Load(),
+	c := Counters{
 		Moves:    p.moves.v.Load(),
 		Swaps:    p.swaps.v.Load(),
 		Rejected: p.rejected.v.Load(),
 	}
+	c.Steps = p.steps.v.Load()
+	return c
 }
 
 // Elapsed returns the monotonic time since the probe was created.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -11,55 +12,61 @@ import (
 // TestRunProbeMatchesStats attaches a probe through RunSpec while readers
 // poll it concurrently (the -race lane's data-race proof); once Run
 // returns, the probe's totals must equal the chain's own statistics
-// exactly — the engines flush their final partial batch on exit.
+// exactly — the engines flush their final partial batch on exit. The
+// 8,192- and 1,024-step runs end on a probe batch boundary, where the
+// last step's outcome must still reach the probe.
 func TestRunProbeMatchesStats(t *testing.T) {
-	sys, err := New(Options{Counts: []int{10, 10}, Lambda: 4, Gamma: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := NewProbe()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				c := probe.Counters()
-				if c.Accepted() > c.Steps {
-					t.Error("accepted exceeds steps")
-					return
-				}
-				probe.Status()
+	for _, steps := range []uint64{100_000, 8_192, 1_024} {
+		t.Run(fmt.Sprint(steps), func(t *testing.T) {
+			sys, err := New(Options{Counts: []int{10, 10}, Lambda: 4, Gamma: 4, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	done, err := sys.Run(context.Background(), RunSpec{
-		Steps:     100_000,
-		Telemetry: &Telemetry{Probe: probe},
-	})
-	close(stop)
-	wg.Wait()
-	if err != nil || done != 100_000 {
-		t.Fatalf("run: done=%d err=%v", done, err)
-	}
-	st := sys.Stats()
-	want := ProbeCounters{Steps: st.Steps, Moves: st.Moves, Swaps: st.Swaps, Rejected: st.Rejected}
-	if c := probe.Counters(); c != want {
-		t.Fatalf("probe totals %+v != chain stats %+v", c, want)
-	}
-	// The probe stays attached: further bare steps keep feeding it after
-	// the next flushed batch or run.
-	if _, err := sys.Run(context.Background(), RunSpec{Steps: 1_000}); err != nil {
-		t.Fatal(err)
-	}
-	if c := probe.Counters(); c.Steps != 101_000 {
-		t.Fatalf("probe after second run: %d steps, want 101000", c.Steps)
+			probe := NewProbe()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						c := probe.Counters()
+						if c.Accepted() > c.Steps {
+							t.Error("accepted exceeds steps")
+							return
+						}
+						probe.Status()
+					}
+				}()
+			}
+			done, err := sys.Run(context.Background(), RunSpec{
+				Steps:     steps,
+				Telemetry: &Telemetry{Probe: probe},
+			})
+			close(stop)
+			wg.Wait()
+			if err != nil || done != steps {
+				t.Fatalf("run: done=%d err=%v", done, err)
+			}
+			st := sys.Stats()
+			want := ProbeCounters{Steps: st.Steps, Moves: st.Moves, Swaps: st.Swaps, Rejected: st.Rejected}
+			if c := probe.Counters(); c != want {
+				t.Fatalf("probe totals %+v != chain stats %+v", c, want)
+			}
+			// The probe stays attached: further bare steps keep feeding it
+			// after the next flushed batch or run.
+			if _, err := sys.Run(context.Background(), RunSpec{Steps: 1_000}); err != nil {
+				t.Fatal(err)
+			}
+			if c := probe.Counters(); c.Steps != steps+1_000 {
+				t.Fatalf("probe after second run: %d steps, want %d", c.Steps, steps+1_000)
+			}
+		})
 	}
 }
 
