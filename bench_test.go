@@ -506,9 +506,9 @@ func derivedTrace(n int) ([]telemetry.Sample, float64, float64, []int) {
 }
 
 // E27 — checkpoint encode+write throughput, binary snapbin frames against
-// the legacy JSON document, at n = 10³ and 10⁵ particles. The binary
-// encoder must hold 0 allocs/op at steady state; the restore legs measure
-// the full decode back to a live System.
+// the JSON document (Checkpoint, the text interchange form), at n = 10³
+// and 10⁵ particles. The binary encoder must hold 0 allocs/op at steady
+// state; the restore legs measure the full decode back to a live System.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	for _, n := range []int{1_000, 100_000} {
 		sys, err := sops.New(sops.Options{
@@ -517,24 +517,35 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, format := range []string{"snapbin", "json"} {
-			restore := sops.SetCheckpointBinary(format == "snapbin")
+		for _, leg := range []struct {
+			format string
+			encode func(io.Writer) error
+		}{
+			{"snapbin", sys.WriteCheckpointTo},
+			{"json", func(w io.Writer) error {
+				data, err := sys.Checkpoint()
+				if err == nil {
+					_, err = w.Write(data)
+				}
+				return err
+			}},
+		} {
 			var buf bytes.Buffer
-			if err := sys.WriteCheckpointTo(&buf); err != nil {
+			if err := leg.encode(&buf); err != nil {
 				b.Fatal(err)
 			}
 			data := append([]byte(nil), buf.Bytes()...)
-			b.Run(fmt.Sprintf("n=%d/%s/encode", n, format), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/%s/encode", n, leg.format), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(data)))
 				for i := 0; i < b.N; i++ {
-					if err := sys.WriteCheckpointTo(io.Discard); err != nil {
+					if err := leg.encode(io.Discard); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(len(data)), "bytes/artifact")
 			})
-			b.Run(fmt.Sprintf("n=%d/%s/restore", n, format), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/%s/restore", n, leg.format), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(data)))
 				for i := 0; i < b.N; i++ {
@@ -543,7 +554,6 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 					}
 				}
 			})
-			restore()
 		}
 	}
 }

@@ -64,9 +64,6 @@ func TestCheckpointChaosMatrix(t *testing.T) {
 	}{{"binary", true}, {"json", false}} {
 		for _, tc := range cases {
 			t.Run(format.name+"/"+tc.name, func(t *testing.T) {
-				prev := checkpointBinary
-				checkpointBinary = format.binary
-				defer func() { checkpointBinary = prev }()
 				dir := t.TempDir()
 				path := filepath.Join(dir, "chain.ckpt")
 
@@ -75,7 +72,7 @@ func TestCheckpointChaosMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				sys.RunSteps(mid)
-				if err := sys.WriteCheckpoint(path); err != nil {
+				if err := writeCheckpointAs(sys, path, format.binary); err != nil {
 					t.Fatal(err)
 				}
 
@@ -88,7 +85,7 @@ func TestCheckpointChaosMatrix(t *testing.T) {
 				defer restore()
 
 				sys.RunSteps(crash - mid)
-				werr := sys.WriteCheckpoint(path)
+				werr := writeCheckpointAs(sys, path, format.binary)
 				if (werr != nil) != tc.wantWriteErr {
 					t.Fatalf("checkpoint write under fault: err=%v, want error=%v", werr, tc.wantWriteErr)
 				}

@@ -5,25 +5,73 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"sops/internal/seal"
+	"sops/internal/snapbin"
 )
 
-// setFormats flips both wire-format hooks for the duration of a test leg.
-func setFormats(t *testing.T, binary bool) {
+// writeCheckpointAs writes sys's checkpoint to path: the sealed snapbin
+// frame WriteCheckpoint writes, or with binary false the sealed JSON
+// document `sops -convert ck -o ck.json` writes, which is also what
+// JSON-era builds put on disk.
+func writeCheckpointAs(sys *System, path string, binary bool) error {
+	if binary {
+		return sys.WriteCheckpoint(path)
+	}
+	data, err := sys.Checkpoint()
+	if err != nil {
+		return err
+	}
+	return seal.WriteFile(path, data, 0o644)
+}
+
+// convertToJSON rewrites the sealed checkpoint or sweep manifest at path
+// as its JSON document, the way `sops -convert` does, and drops the
+// binary generation that the write rotated to path+".prev".
+func convertToJSON(t *testing.T, path string) {
 	t.Helper()
-	prevCk, prevMan := checkpointBinary, manifestBinary
-	checkpointBinary, manifestBinary = binary, binary
-	t.Cleanup(func() { checkpointBinary, manifestBinary = prevCk, prevMan })
+	payload, err := seal.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := snapbin.ParseHeader(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	switch h.Kind {
+	case snapbin.KindCheckpoint:
+		sys, err := Restore(payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err = sys.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case snapbin.KindManifest:
+		if data, err = ConvertSweepManifest(payload, false); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("%s: frame kind %d has no JSON form", path, h.Kind)
+	}
+	if err := seal.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(seal.PrevPath(path)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCheckpointCrossFormatResume pins format interchange on the checkpoint
-// surface: a run checkpointed under either wire format, restored under the
-// other era's default, continues the exact trajectory — the final serialized
-// state is byte-identical to the uninterrupted run's.
+// surface: a run checkpointed in either wire format restores and continues
+// the exact trajectory — the final serialized state is byte-identical to
+// the uninterrupted run's.
 func TestCheckpointCrossFormatResume(t *testing.T) {
 	const half, full = 20_000, 50_000
 	opts := Options{Counts: []int{8, 8}, Lambda: 4, Gamma: 4, Seed: 11}
@@ -51,15 +99,10 @@ func TestCheckpointCrossFormatResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			sys.RunSteps(half)
-			prev := checkpointBinary
-			checkpointBinary = leg.writeBinary
-			err = sys.WriteCheckpoint(path)
-			checkpointBinary = prev
-			if err != nil {
+			if err := writeCheckpointAs(sys, path, leg.writeBinary); err != nil {
 				t.Fatal(err)
 			}
-			// Restore always runs with the current (binary) default and
-			// sniffs the stored format.
+			// Restore sniffs the stored format.
 			resumed, err := RestoreFile(path, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -77,9 +120,9 @@ func TestCheckpointCrossFormatResume(t *testing.T) {
 }
 
 // TestSweepResumeAcrossManifestFormats pins format interchange on the sweep
-// surface: a sweep interrupted with its manifest and in-flight cells in one
-// wire format resumes under the other format's default and produces results
-// byte-identical to the uninterrupted sweep — in both directions.
+// surface: a sweep interrupted with its manifest and in-flight cells in the
+// JSON format, as JSON-era builds left them, resumes under the binary
+// writers and produces results byte-identical to the uninterrupted sweep.
 func TestSweepResumeAcrossManifestFormats(t *testing.T) {
 	baseline := resumeSpec(t.TempDir())
 	baseline.CheckpointPath = ""
@@ -92,51 +135,60 @@ func TestSweepResumeAcrossManifestFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, leg := range []struct {
-		name                      string
-		writeBinary, resumeBinary bool
-	}{
-		{"json-then-binary", false, true},
-		{"binary-then-json", true, false},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			setFormats(t, leg.writeBinary)
-			spec := resumeSpec(t.TempDir())
-			ctx, cancel := context.WithCancel(context.Background())
-			spec.Observe = func(done, total int) {
-				if done == 3 {
-					cancel()
-				}
+	t.Run("json-then-binary", func(t *testing.T) {
+		spec := resumeSpec(t.TempDir())
+		ctx, cancel := context.WithCancel(context.Background())
+		spec.Observe = func(done, total int) {
+			if done == 3 {
+				cancel()
 			}
-			if _, err := Sweep(ctx, spec); !errors.Is(err, context.Canceled) {
-				t.Fatalf("interrupted sweep returned %v", err)
-			}
-			if _, err := os.Stat(spec.CheckpointPath); err != nil {
-				t.Fatalf("no manifest written before interruption: %v", err)
-			}
+		}
+		if _, err := Sweep(ctx, spec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted sweep returned %v", err)
+		}
+		if _, err := os.Stat(spec.CheckpointPath); err != nil {
+			t.Fatalf("no manifest written before interruption: %v", err)
+		}
+		// Whether a cell was mid-run at the cancel is a race, so also plant
+		// an in-flight checkpoint for the last cell, which three completions
+		// cannot have reached.
+		all := spec.cells()
+		last := all[len(all)-1]
+		sys, err := New(Options{Counts: spec.Counts, Lambda: last.lambda, Gamma: last.gamma, Seed: last.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.RunSteps(2 * spec.CheckpointSteps)
+		if err := sys.WriteCheckpoint(fmt.Sprintf("%s.cell%04d", spec.CheckpointPath, last.index)); err != nil {
+			t.Fatal(err)
+		}
+		cells, err := filepath.Glob(spec.CheckpointPath + ".cell[0-9][0-9][0-9][0-9]")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range append(cells, spec.CheckpointPath) {
+			convertToJSON(t, path)
+		}
 
-			setFormats(t, leg.resumeBinary)
-			spec.Observe = nil
-			got, err := ResumeSweep(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJSON, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Fatalf("cross-format resume diverged from uninterrupted run:\nwant %s\ngot  %s",
-					wantJSON, gotJSON)
-			}
-		})
-	}
+		spec.Observe = nil
+		got, err := ResumeSweep(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("cross-format resume diverged from uninterrupted run:\nwant %s\ngot  %s",
+				wantJSON, gotJSON)
+		}
+	})
 }
 
 // TestConvertSweepManifestRoundTrip: transcoding a manifest binary → JSON →
 // binary preserves the key and every cell record exactly.
 func TestConvertSweepManifestRoundTrip(t *testing.T) {
-	setFormats(t, true)
 	spec := resumeSpec(t.TempDir())
 	if _, err := Sweep(context.Background(), spec); err != nil {
 		t.Fatal(err)

@@ -65,9 +65,8 @@ type Sharded struct {
 	hist      []int32 // per-R-row population, reused across epochs
 	bandOfR   []int32 // R row → band index, reused across epochs
 
-	stats        Stats
-	probe        Probe
-	workerProbes []Probe
+	stats Stats
+	probe Probe
 
 	ticket atomic.Uint64
 	wlogs  [][]MoveRecord
@@ -264,18 +263,6 @@ func (s *Sharded) Snapshot() (*psys.Config, error) { return s.store.ToConfig() }
 // into it in amortized batches, like the serial chain. The probe must be
 // safe for concurrent use (*telemetry.Probe is). Attach before Run.
 func (s *Sharded) SetProbe(p Probe) { s.probe = p }
-
-// SetWorkerProbes attaches one probe per worker (len must equal
-// Workers()); worker w publishes its batches to probes[w] instead of the
-// shared probe, so a telemetry.ProbeSet can attribute throughput to
-// bands. Attach before Run.
-func (s *Sharded) SetWorkerProbes(probes []Probe) error {
-	if len(probes) != s.workers {
-		return fmt.Errorf("core: %d worker probes for %d workers", len(probes), s.workers)
-	}
-	s.workerProbes = probes
-	return nil
-}
 
 // Log returns the accepted-operation log of all runs so far, sorted by
 // serialization ticket. Empty unless ShardedOptions.RecordLog is set.
@@ -530,9 +517,6 @@ func (s *Sharded) runWorkerModel(w int, parts []lattice.Point, lo, hi int, budge
 	var g psys.PairGather
 
 	sink := s.probe
-	if s.workerProbes != nil {
-		sink = s.workerProbes[w]
-	}
 	flush := func() {
 		if sink == nil {
 			return

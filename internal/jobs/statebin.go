@@ -204,7 +204,7 @@ func decodeRecord(data []byte) (*record, error) {
 	if h.Kind != snapbin.KindStateDoc {
 		return nil, fmt.Errorf("%w: kind %d is not a state document", snapbin.ErrMalformed, h.Kind)
 	}
-	if h.Flags != 0 || h.BitsPerCell != 0 || h.RngLen != 0 || h.NumColors != 0 {
+	if h.BitsPerCell != 0 || h.RngLen != 0 || h.NumColors != 0 {
 		return nil, fmt.Errorf("%w: state document with configuration header fields", snapbin.ErrMalformed)
 	}
 	r := snapbin.NewReader(data[snapbin.HeaderSize:])

@@ -1,12 +1,16 @@
 package jobs
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"sops"
 	"sops/internal/metrics"
+	"sops/internal/seal"
 	"sops/internal/snapbin"
 )
 
@@ -97,5 +101,70 @@ func TestRecordBinaryRejectsCorrupt(t *testing.T) {
 	bad[snapbin.HeaderSize+1+len(rec.ID)] = 200
 	if _, err := decodeRecord(bad); err == nil {
 		t.Fatalf("decode accepted an undefined state code")
+	}
+}
+
+// TestJSONEraStateDocReopens: a store whose state.json holds the sealed
+// JSON record a pre-snapbin daemon wrote (json.MarshalIndent) still opens,
+// and the finished job keeps its record and result.
+func TestJSONEraStateDocReopens(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir, Workers: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := m.Submit(smallRun("acme", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitFor(t, m, sub.ID, terminal)
+	m.Close()
+	if final.State != StateDone || final.Result == nil || final.Result.Snap == nil {
+		t.Fatalf("job did not finish with a result: %+v", final)
+	}
+
+	st, err := newStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := st.load(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(st.dir(sub.ID), "state.json")
+	if err := seal.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(seal.PrevPath(path)); err != nil {
+		t.Fatal(err)
+	}
+	if payload, err := seal.ReadFile(path); err != nil || snapbin.IsFrame(payload) {
+		t.Fatalf("state.json is not a sealed JSON record (err %v)", err)
+	}
+
+	m, err = Open(Config{Dir: dir, Workers: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if n := m.Health().QuarantinedJobs.Load(); n != 0 {
+		t.Fatalf("JSON-era state doc quarantined %d job(s)", n)
+	}
+	m.mu.Lock()
+	got := m.jobs[sub.ID].rec
+	m.mu.Unlock()
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("record changed across reopen:\n got %+v\nwant %+v", &got, want)
+	}
+	after, err := m.Status(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.State != StateDone || !reflect.DeepEqual(after.Result, final.Result) {
+		t.Fatalf("result changed across reopen:\n got %+v\nwant %+v", after, final)
 	}
 }

@@ -14,19 +14,14 @@ import (
 	"sops/internal/snapbin"
 )
 
-// stateBinary selects the lifecycle-record wire format: true writes the
-// packed snapbin state document, false the legacy JSON. The file keeps the
-// state.json name either way — load sniffs the payload, so stores written
-// by daemons of either era reopen cleanly.
-var stateBinary = true
-
 // store is the on-disk layout of the job queue. Under the root directory,
 // each job owns one subdirectory named by its ID:
 //
 //	<root>/<id>/spec.json    — the submitted Spec, written once at submit
 //	<root>/<id>/state.json   — the lifecycle record, atomically replaced
-//	                           (a packed snapbin state document by default,
-//	                           JSON under the legacy hook; load sniffs)
+//	                           (a packed snapbin state document; the name
+//	                           and load's JSON branch keep stores written
+//	                           by JSON-era daemons readable)
 //	<root>/<id>/checkpoint   — run-job chain state (auto-checkpointed)
 //	<root>/<id>/sweep.ckpt   — sweep manifest (+ .cellNNNN in-flight cells)
 //
@@ -79,13 +74,7 @@ func (st *store) create(id string, spec *Spec, rec *record) error {
 
 // saveState atomically replaces job id's lifecycle record.
 func (st *store) saveState(id string, rec *record) error {
-	var data []byte
-	var err error
-	if stateBinary {
-		data, err = encodeRecord(rec)
-	} else {
-		data, err = json.MarshalIndent(rec, "", "  ")
-	}
+	data, err := encodeRecord(rec)
 	if err != nil {
 		return fmt.Errorf("jobs: encode state: %w", err)
 	}

@@ -122,9 +122,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if h.Kind != KindCheckpoint {
 		return nil, fmt.Errorf("%w: frame kind %d is not a checkpoint", ErrMalformed, h.Kind)
 	}
-	if h.Flags&FlagDelta != 0 {
-		return nil, fmt.Errorf("%w: checkpoint frames are never delta-coded", ErrMalformed)
-	}
 	r := NewReader(data[HeaderSize:])
 	cp := &Checkpoint{Steps: h.Step}
 	if cp.Lambda, err = r.F64(); err != nil {

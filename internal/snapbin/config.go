@@ -101,7 +101,7 @@ func (e *Encoder) appendDenseTiles(dst []byte, cfg *psys.Config, bpc uint8) []by
 			}
 			dst = AppendVarint(dst, int64(tc.TQ-prev.TQ))
 			dst = AppendVarint(dst, int64(tc.TR-prev.TR))
-			dst = appendXorRLE(dst, nil, e.plane[:planeBytes(bpc)])
+			dst = appendXorRLE(dst, e.plane[:planeBytes(bpc)])
 			prev = tc
 		}
 	}
@@ -182,7 +182,7 @@ func (e *Encoder) appendSparseTiles(dst []byte, cfg *psys.Config, bpc uint8) []b
 				setPlane(e.plane[:pb], i, bpc, v)
 			}
 		}
-		dst = appendXorRLE(dst, nil, e.plane[:pb])
+		dst = appendXorRLE(dst, e.plane[:pb])
 		prev = tp.coord
 	}
 	return dst
@@ -242,7 +242,7 @@ func readConfig(r *Reader, bpc uint8, wantN int, wantColors uint8) (*psys.Config
 		if t > 0 && !tileLess(prev, tc) {
 			return nil, fmt.Errorf("%w: tile %v out of canonical order", ErrMalformed, tc)
 		}
-		if err := readXorRLE(r, nil, plane[:pb]); err != nil {
+		if err := readXorRLE(r, plane[:pb]); err != nil {
 			return nil, err
 		}
 		origin := tc.Origin()

@@ -49,7 +49,7 @@ func DecodeManifest(data []byte) (key []byte, recs []ManifestRecord, err error) 
 	if h.Kind != KindManifest {
 		return nil, nil, fmt.Errorf("%w: frame kind %d is not a manifest", ErrMalformed, h.Kind)
 	}
-	if h.Flags&FlagDelta != 0 || h.BitsPerCell != 0 || h.RngLen != 0 || h.NumColors != 0 {
+	if h.BitsPerCell != 0 || h.RngLen != 0 || h.NumColors != 0 {
 		return nil, nil, fmt.Errorf("%w: manifest frame with configuration header fields", ErrMalformed)
 	}
 	r := NewReader(data[HeaderSize:])

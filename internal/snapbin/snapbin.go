@@ -1,10 +1,10 @@
 // Package snapbin is the compact binary snapshot wire format behind every
-// hot durable artifact: run checkpoints, recorder traces, sweep manifests,
-// configuration streams and job state documents. It exists because the text
-// codecs (JSON/CSV) that remain the documented interchange layer cost one
-// reflective marshal per event and an order of magnitude more bytes per
-// sample — at production sampling cadences the serializer, not the chain
-// step, bounds throughput and dominates artifact size.
+// hot durable artifact: run checkpoints, recorder traces, sweep manifests
+// and job state documents. It exists because the text codecs (JSON/CSV)
+// that remain the documented interchange layer cost one reflective marshal
+// per event and an order of magnitude more bytes per sample — at
+// production sampling cadences the serializer, not the chain step, bounds
+// throughput and dominates artifact size.
 //
 // # Frame layout
 //
@@ -12,9 +12,9 @@
 //
 //	offset  0  4-byte magic "SBN1"
 //	offset  4  uint8  version (currently 1)
-//	offset  5  uint8  kind (checkpoint, trace, manifest, config, statedoc)
-//	offset  6  uint8  flags (bit 0: delta frame, encoded against the
-//	           previous frame of a stream)
+//	offset  5  uint8  kind (1 checkpoint, 2 trace, 3 manifest, 5 statedoc;
+//	           4 is retired)
+//	offset  6  uint8  flags (reserved, zero)
 //	offset  7  uint8  bits per cell of the occupancy planes (0 when the
 //	           frame carries no configuration)
 //	offset  8  uint64 step count
@@ -28,7 +28,7 @@
 //	offset 39  uint8  reserved (zero)
 //
 // followed by a kind-specific body built from three primitives: unsigned
-// varints, zigzag varints, and an XOR run-length coder for occupancy planes
+// varints, zigzag varints, and a zero-run-length coder for occupancy planes
 // (see xorrle.go). Configurations are carried as packed bit-planes over the
 // occupied 64×64 tile set, riding the same tiling as psys.TileStore, so a
 // sparse or stringy configuration costs bytes proportional to its occupied
@@ -74,15 +74,12 @@ const (
 	KindTrace Kind = 2
 	// KindManifest is a sweep manifest: spec key plus completed cells.
 	KindManifest Kind = 3
-	// KindConfig is one bare configuration frame, full or delta-encoded
-	// against the previous frame of a stream.
-	KindConfig Kind = 4
+	// Kind 4 was a configuration-stream frame that nothing wrote; it stays
+	// retired so no future kind reuses its number.
+
 	// KindStateDoc is a job lifecycle record (internal/jobs).
 	KindStateDoc Kind = 5
 )
-
-// FlagDelta marks a frame encoded against the previous frame of a stream.
-const FlagDelta = 1
 
 // ErrMalformed reports a frame the decoder rejected: bad magic or version,
 // a length or count that disagrees with the bytes present, an out-of-range
@@ -98,7 +95,6 @@ func IsFrame(data []byte) bool {
 // Header is the fixed frame header.
 type Header struct {
 	Kind        Kind
-	Flags       uint8
 	BitsPerCell uint8
 	Step        uint64
 	Win         lattice.Window
@@ -115,7 +111,7 @@ const windowLimit = 1 << 26
 // AppendHeader appends the fixed header for h to dst.
 func AppendHeader(dst []byte, h Header) []byte {
 	dst = append(dst, Magic...)
-	dst = append(dst, Version, uint8(h.Kind), h.Flags, h.BitsPerCell)
+	dst = append(dst, Version, uint8(h.Kind), 0, h.BitsPerCell)
 	dst = appendU64(dst, h.Step)
 	dst = appendU32(dst, uint32(int32(h.Win.Min.Q)))
 	dst = appendU32(dst, uint32(int32(h.Win.Min.R)))
@@ -140,12 +136,13 @@ func ParseHeader(data []byte) (Header, error) {
 		return h, fmt.Errorf("%w: unsupported version %d", ErrMalformed, v)
 	}
 	h.Kind = Kind(data[5])
-	if h.Kind < KindCheckpoint || h.Kind > KindStateDoc {
+	switch h.Kind {
+	case KindCheckpoint, KindTrace, KindManifest, KindStateDoc:
+	default:
 		return h, fmt.Errorf("%w: unknown kind %d", ErrMalformed, data[5])
 	}
-	h.Flags = data[6]
-	if h.Flags&^uint8(FlagDelta) != 0 {
-		return h, fmt.Errorf("%w: unknown flags %#x", ErrMalformed, h.Flags)
+	if data[6] != 0 {
+		return h, fmt.Errorf("%w: unknown flags %#x", ErrMalformed, data[6])
 	}
 	h.BitsPerCell = data[7]
 	switch h.BitsPerCell {

@@ -111,34 +111,49 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if got != h {
 		t.Fatalf("round trip: want %+v, got %+v", h, got)
 	}
+
+	// Only the written kinds parse (4 stays retired), and the flags byte
+	// is reserved zero.
+	for _, bad := range []struct {
+		name string
+		off  int
+		val  byte
+	}{
+		{"kind 0", 5, 0},
+		{"retired kind 4", 5, 4},
+		{"kind 6", 5, 6},
+		{"flags 0x01", 6, 0x01},
+		{"flags 0x80", 6, 0x80},
+		{"reserved byte", 39, 1},
+	} {
+		m := append([]byte(nil), data...)
+		m[bad.off] = bad.val
+		if _, err := ParseHeader(m); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %v, want ErrMalformed", bad.name, err)
+		}
+	}
 }
 
 func TestXorRLERoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	prevs := [][]byte{nil, make([]byte, 1024)}
-	r.Read(prevs[1])
-	for _, prev := range prevs {
-		for trial := 0; trial < 50; trial++ {
-			cur := make([]byte, 1024)
-			// Sparse random differences from the baseline.
-			if prev != nil {
-				copy(cur, prev)
-			}
-			for i := 0; i < trial; i++ {
-				cur[r.Intn(len(cur))] = byte(r.Intn(256))
-			}
-			enc := appendXorRLE(nil, prev, cur)
-			out := make([]byte, len(cur))
-			rd := NewReader(enc)
-			if err := readXorRLE(rd, prev, out); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if err := rd.Done(); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			if !bytes.Equal(out, cur) {
-				t.Fatalf("trial %d: plane mismatch", trial)
-			}
+	// From empty to dense: trial i sets up to i·20 random bytes.
+	for trial := 0; trial < 52; trial++ {
+		plane := make([]byte, 1024)
+		for i := 0; i < 20*trial; i++ {
+			plane[r.Intn(len(plane))] = byte(r.Intn(256))
+		}
+		enc := appendXorRLE(nil, plane)
+		out := make([]byte, len(plane))
+		r.Read(out) // decoding must overwrite every byte
+		rd := NewReader(enc)
+		if err := readXorRLE(rd, out); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := rd.Done(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !bytes.Equal(out, plane) {
+			t.Fatalf("trial %d: plane mismatch", trial)
 		}
 	}
 }
@@ -382,91 +397,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConfigStreamRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	cfg := randomConfig(t, r, 80, 3, 24, lattice.Point{Q: -60, R: 50})
-	var se StreamEncoder
-	var sd StreamDecoder
-
-	step := uint64(0)
-	check := func() {
-		frame := se.Encode(cfg, step)
-		got, h, err := sd.Next(frame)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if h.Step != step {
-			t.Fatalf("step: want %d, got %d", step, h.Step)
-		}
-		sameConfig(t, cfg, got)
-		step++
-	}
-
-	check() // full frame
-	// Random occupied→vacant moves, including tile-boundary crossings.
-	for i := 0; i < 200; i++ {
-		pts := cfg.Points()
-		p := pts[r.Intn(len(pts))]
-		col, _ := cfg.At(p)
-		q := lattice.Point{Q: p.Q + r.Intn(5) - 2, R: p.R + r.Intn(5) - 2}
-		if cfg.Occupied(q) || p == q {
-			continue
-		}
-		if err := cfg.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := cfg.Place(q, col); err != nil {
-			t.Fatal(err)
-		}
-		check() // delta frame
-	}
-	// A second full frame mid-stream resets both sides.
-	se.Reset()
-	check()
-}
-
-func TestStreamDeltaFramesAreSmall(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	cfg := randomConfig(t, r, 500, 2, 60, lattice.Point{})
-	var se StreamEncoder
-	full := se.Encode(cfg, 0)
-
-	pts := cfg.Points()
-	p := pts[0]
-	col, _ := cfg.At(p)
-	var q lattice.Point
-	for trial := 0; ; trial++ {
-		q = lattice.Point{Q: p.Q + 1 + trial, R: p.R}
-		if !cfg.Occupied(q) {
-			break
-		}
-	}
-	cfg.Remove(p)
-	cfg.Place(q, col)
-	delta := se.Encode(cfg, 1)
-	if len(delta) >= len(full)/4 {
-		t.Fatalf("delta frame %dB not much smaller than full frame %dB", len(delta), len(full))
-	}
-}
-
-func TestStreamRejectsDeltaFirst(t *testing.T) {
-	cfg := psys.New()
-	cfg.Place(lattice.Point{Q: 1}, 0)
-	cfg.Place(lattice.Point{Q: 5}, 1)
-	var se StreamEncoder
-	se.Encode(cfg, 0) // full
-	cfg.Place(lattice.Point{Q: 2}, 1)
-	delta := append([]byte(nil), se.Encode(cfg, 1)...)
-	if delta[6]&FlagDelta == 0 {
-		t.Fatal("second frame is not a delta frame")
-	}
-
-	var sd StreamDecoder
-	if _, _, err := sd.Next(delta); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("delta before full: got %v", err)
-	}
-}
-
 // corruptions returns a set of deterministic single-byte mutations and
 // truncations of frame.
 func corruptions(frame []byte) [][]byte {
@@ -516,22 +446,11 @@ func TestDecodersNeverPanic(t *testing.T) {
 	}
 	mfFrame := append([]byte(nil), enc.EncodeManifest([]byte("key"), len(recs), func(i int) ManifestRecord { return recs[i] })...)
 
-	var se StreamEncoder
-	cfFull := append([]byte(nil), se.Encode(cfg, 0)...)
-	pts := cfg.Points()
-	col, _ := cfg.At(pts[0])
-	cfg.Remove(pts[0])
-	cfg.Place(lattice.Point{Q: 999, R: 999}, col)
-	cfDelta := append([]byte(nil), se.Encode(cfg, 1)...)
-
-	for _, frame := range [][]byte{cpFrame, trFrame, mfFrame, cfFull, cfDelta} {
+	for _, frame := range [][]byte{cpFrame, trFrame, mfFrame} {
 		for _, m := range corruptions(frame) {
 			DecodeCheckpoint(m)
 			DecodeTrace(m)
 			DecodeManifest(m)
-			var sd StreamDecoder
-			sd.Next(cfFull)
-			sd.Next(m)
 		}
 	}
 }

@@ -46,7 +46,7 @@ func DecodeTrace(data []byte) (Hints, []TraceSample, error) {
 	if h.Kind != KindTrace {
 		return Hints{}, nil, fmt.Errorf("%w: frame kind %d is not a trace", ErrMalformed, h.Kind)
 	}
-	if h.Flags&FlagDelta != 0 || h.BitsPerCell != 0 || h.RngLen != 0 || h.NumColors != 0 {
+	if h.BitsPerCell != 0 || h.RngLen != 0 || h.NumColors != 0 {
 		return Hints{}, nil, fmt.Errorf("%w: trace frame with configuration header fields", ErrMalformed)
 	}
 	r := NewReader(data[HeaderSize:])

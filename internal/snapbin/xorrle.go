@@ -2,54 +2,44 @@ package snapbin
 
 import "fmt"
 
-// XOR run-length coding for occupancy planes. A plane is XORed byte-wise
-// against a baseline — all-zeros for a full frame, the previous frame's
-// plane for a delta frame — and the sparse result is stored as alternating
-// (zero-run length, literal length, literal bytes) groups. Mostly-empty or
-// mostly-unchanged planes collapse to a few bytes; the decoder reverses the
-// XOR against the same baseline, so one primitive serves both modes.
+// XOR-RLE coding for occupancy planes, against a fixed all-zero baseline —
+// so it is plain zero-run-length coding. A packed tile plane is mostly
+// zero bytes (vacant cells), so it is stored as alternating (zero-run
+// length, literal length, literal bytes) groups: each run costs a varint
+// and only the nonzero bytes are copied. A literal byte is never zero,
+// because a zero byte always extends a run.
 //
 // Wire form: repeated (uvarint zeroRun, uvarint litLen, litLen bytes),
 // ending exactly when zeroRun+litLen sums to the plane size. A final
 // zero-run is encoded with litLen 0.
 
-// appendXorRLE appends the XOR-RLE coding of cur against prev. prev is the
-// baseline plane; nil means all zeros. cur and prev must have equal length
-// (when prev is non-nil).
-func appendXorRLE(dst, prev, cur []byte) []byte {
-	xorAt := func(i int) byte {
-		if prev == nil {
-			return cur[i]
-		}
-		return cur[i] ^ prev[i]
-	}
-	for i := 0; i < len(cur); {
+// appendXorRLE appends the run-length coding of plane to dst.
+func appendXorRLE(dst, plane []byte) []byte {
+	for i := 0; i < len(plane); {
 		run := 0
-		for i+run < len(cur) && xorAt(i+run) == 0 {
+		for i+run < len(plane) && plane[i+run] == 0 {
 			run++
 		}
 		lit := 0
-		for i+run+lit < len(cur) && xorAt(i+run+lit) != 0 {
+		for i+run+lit < len(plane) && plane[i+run+lit] != 0 {
 			lit++
 		}
 		dst = AppendUvarint(dst, uint64(run))
 		dst = AppendUvarint(dst, uint64(lit))
-		for k := 0; k < lit; k++ {
-			dst = append(dst, xorAt(i+run+k))
-		}
+		dst = append(dst, plane[i+run:i+run+lit]...)
 		i += run + lit
 	}
-	if len(cur) == 0 {
+	if len(plane) == 0 {
 		dst = AppendUvarint(dst, 0)
 		dst = AppendUvarint(dst, 0)
 	}
 	return dst
 }
 
-// readXorRLE decodes an XOR-RLE coding into out (fully overwritten), using
-// prev as the baseline (nil means zeros). It consumes exactly one plane's
-// coding from r and rejects group lengths that overrun the plane.
-func readXorRLE(r *Reader, prev, out []byte) error {
+// readXorRLE decodes a run-length coding into out (fully overwritten). It
+// consumes exactly one plane's coding from r and rejects group lengths that
+// overrun the plane.
+func readXorRLE(r *Reader, out []byte) error {
 	at := 0
 	for {
 		run, err := r.Uvarint()
@@ -63,13 +53,7 @@ func readXorRLE(r *Reader, prev, out []byte) error {
 		if run+lit > uint64(len(out)-at) {
 			return fmt.Errorf("%w: plane run overflows %d-byte plane", ErrMalformed, len(out))
 		}
-		if prev == nil {
-			for k := 0; k < int(run); k++ {
-				out[at+k] = 0
-			}
-		} else {
-			copy(out[at:at+int(run)], prev[at:at+int(run)])
-		}
+		clear(out[at : at+int(run)])
 		at += int(run)
 		litBytes, err := r.Bytes(int(lit))
 		if err != nil {
@@ -77,16 +61,12 @@ func readXorRLE(r *Reader, prev, out []byte) error {
 		}
 		for k, b := range litBytes {
 			if b == 0 {
-				// A zero XOR byte inside a literal group means the encoding
-				// is not canonical — the writer never produces it, so treat
-				// it as corruption rather than accepting an alias.
+				// A zero byte inside a literal group means the encoding is
+				// not canonical — the writer never produces it, so treat it
+				// as corruption rather than accepting an alias.
 				return fmt.Errorf("%w: zero byte inside plane literal", ErrMalformed)
 			}
-			if prev == nil {
-				out[at+k] = b
-			} else {
-				out[at+k] = prev[at+k] ^ b
-			}
+			out[at+k] = b
 		}
 		at += int(lit)
 		if at == len(out) {

@@ -167,14 +167,13 @@ func TestModelCheckpointCrossFormatResume(t *testing.T) {
 		{"json", false},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			setFormats(t, leg.writeBinary)
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			sys, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sys.RunSteps(half)
-			if err := sys.WriteCheckpoint(path); err != nil {
+			if err := writeCheckpointAs(sys, path, leg.writeBinary); err != nil {
 				t.Fatal(err)
 			}
 			resumed, err := RestoreFile(path, nil)
@@ -234,7 +233,6 @@ func TestSeparationCheckpointOmitsModel(t *testing.T) {
 // mid-stage and resuming crosses the remaining stage boundaries and
 // finishes byte-identical to the uninterrupted run.
 func TestAnnealSystemCheckpointExact(t *testing.T) {
-	setFormats(t, true)
 	opts := Options{Counts: []int{40, 40}, Model: "anneal", Lambda: 4, Gamma: 16,
 		Couplings: map[string]float64{"stages": 3, "stageSteps": 4_000}, Seed: 31}
 	const half, full = 5_500, 14_000 // boundaries at 4k and 8k

@@ -328,9 +328,10 @@ type System struct {
 	th    metrics.Thresholds
 	meter *metrics.Meter
 
-	// Auto-checkpointing, configured by SetAutoCheckpoint: during RunContext
-	// the chain state is written atomically to ckptPath every ckptEvery
-	// steps, so a killed process loses at most one interval of work.
+	// Auto-checkpointing, configured by SetAutoCheckpoint: during a serial
+	// Run the chain state is written atomically to ckptPath every ckptEvery
+	// steps, so a killed process loses at most one interval of work; a
+	// sharded Run writes it once, when the run returns.
 	ckptPath  string
 	ckptEvery uint64
 
@@ -341,12 +342,6 @@ type System struct {
 	sealed []byte
 	cpView snapbin.Checkpoint
 }
-
-// checkpointBinary selects the wire format of the checkpoint writers:
-// the snapbin binary frame (default) or the legacy JSON document. Both
-// restore through the same sniffing readers; the JSON leg exists for the
-// documented text interchange and is pinned by cross-format tests.
-var checkpointBinary = true
 
 // New builds a System from options.
 func New(opts Options) (*System, error) {
@@ -462,21 +457,12 @@ type RunSpec struct {
 	// order — so runs with Workers > 1 trade replayability for throughput.
 	// After the run the System carries the evolved configuration and
 	// cumulative statistics and can be measured, checkpointed, or resumed
-	// with any Workers setting.
+	// with any Workers setting. Auto-checkpointing (SetAutoCheckpoint)
+	// writes once, when a sharded run returns, not at every interval: a
+	// process killed mid-run loses the whole sharded segment.
 	Workers int
 }
 
-// Run performs up to spec.Steps iterations, sampling on spec's cadence and
-// stopping early when ctx is cancelled or the Observer returns false. It
-// returns the iterations actually performed, with ctx's error if the run
-// was cut short. The System remains valid after a cancelled run: it can be
-// resumed, measured or checkpointed.
-//
-// If SetAutoCheckpoint configured a checkpoint file, the state is written
-// to it (atomically) after every checkpoint interval and once more when
-// the run stops, including on cancellation; a checkpoint write failure
-// stops the run and is returned.
-//
 // deriveTrace hands rec the run constants — λ, γ and the per-color
 // particle census — that let binary trace flushes elide derivable
 // columns. The census is fixed for the run: moves and swaps of chain M
@@ -492,9 +478,17 @@ func (s *System) deriveTrace(rec *Recorder) {
 	rec.SetDerivation(params.Lambda, params.Gamma, counts[:k])
 }
 
-// Run is the single run entry point; only the bare RunSteps loop exists
-// beside it (the deprecated RunContext/RunWith/RunWithContext wrappers of
-// earlier releases are gone).
+// Run performs up to spec.Steps iterations, sampling on spec's cadence and
+// stopping early when ctx is cancelled or the Observer returns false. It
+// returns the iterations actually performed, with ctx's error if the run
+// was cut short. The System remains valid after a cancelled run: it can be
+// resumed, measured or checkpointed. Run is the single run entry point;
+// only the bare RunSteps loop exists beside it.
+//
+// If SetAutoCheckpoint configured a checkpoint file, the state is written
+// to it (atomically) when the run stops, including on cancellation, and a
+// serial run (Workers ≤ 1) also writes it after every checkpoint interval;
+// a checkpoint write failure stops the run and is returned.
 func (s *System) Run(ctx context.Context, spec RunSpec) (uint64, error) {
 	if spec.Workers > 1 {
 		return s.runSharded(ctx, spec)
@@ -575,17 +569,7 @@ func (s *System) runSharded(ctx context.Context, spec RunSpec) (uint64, error) {
 	var rec *Recorder
 	if spec.Telemetry != nil {
 		if spec.Telemetry.Probe != nil {
-			// Fan worker batches into the caller's probe through a
-			// ProbeSet, so per-band attribution exists while the shared
-			// probe keeps its serial-run contract.
-			ps := telemetry.NewProbeSet(spec.Telemetry.Probe, spec.Workers)
-			probes := make([]core.Probe, spec.Workers)
-			for i := range probes {
-				probes[i] = ps.Worker(i)
-			}
-			if err := sh.SetWorkerProbes(probes); err != nil {
-				return 0, fmt.Errorf("sops: sharded run: %w", err)
-			}
+			sh.SetProbe(spec.Telemetry.Probe)
 		}
 		rec = spec.Telemetry.Recorder
 	}
@@ -757,11 +741,13 @@ func IsSeparated(cfg *Config, beta, delta float64) bool {
 // and long runs.
 func (s *System) CheckInvariants() error { return s.chain.Config().CheckInvariants() }
 
-// SetAutoCheckpoint configures crash-safe checkpointing for RunContext and
-// Run: the full chain state is written atomically (temp file + rename) to
-// path after every `every` steps, so a process killed mid-run loses at most
-// one interval of work and resumes with RestoreFile. every = 0 or an empty
-// path disables auto-checkpointing.
+// SetAutoCheckpoint configures crash-safe checkpointing for Run: the full
+// chain state is written atomically (temp file + rename) to path after
+// every `every` steps of a serial run, so a process killed mid-run loses at
+// most one interval of work and resumes with RestoreFile. A sharded run
+// (RunSpec.Workers > 1) writes the checkpoint only when it returns, so a
+// kill mid-run loses the whole sharded segment. every = 0 or an empty path
+// disables auto-checkpointing.
 func (s *System) SetAutoCheckpoint(path string, every uint64) {
 	s.ckptPath, s.ckptEvery = path, every
 }
@@ -872,16 +858,6 @@ func hexEncode(b []byte) string {
 // the trajectory. The file previously at path is kept as path+".prev",
 // the last-good generation RestoreFile falls back to.
 func (s *System) WriteCheckpoint(path string) error {
-	if !checkpointBinary {
-		data, err := s.Checkpoint()
-		if err != nil {
-			return err
-		}
-		if err := seal.WriteFile(path, data, 0o644); err != nil {
-			return fmt.Errorf("sops: write checkpoint: %w", err)
-		}
-		return nil
-	}
 	sealed, err := s.encodeBinaryCheckpoint()
 	if err != nil {
 		return err
@@ -898,13 +874,7 @@ func (s *System) WriteCheckpoint(path string) error {
 // concern — which is what a network or pipe destination wants. The write
 // itself allocates nothing at steady state.
 func (s *System) WriteCheckpointTo(w io.Writer) error {
-	var data []byte
-	var err error
-	if checkpointBinary {
-		data, err = s.encodeBinaryCheckpoint()
-	} else {
-		data, err = s.Checkpoint()
-	}
+	data, err := s.encodeBinaryCheckpoint()
 	if err != nil {
 		return err
 	}

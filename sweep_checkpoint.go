@@ -13,12 +13,6 @@ import (
 	"sops/internal/snapbin"
 )
 
-// manifestBinary selects the sweep-manifest wire format: true writes the
-// packed snapbin manifest frame, false the legacy JSON document. Both are
-// wrapped in the seal envelope and load sniffs which one it is reading, so
-// the hook only affects new writes; flipping it mid-sweep is safe.
-var manifestBinary = true
-
 // ErrSweepCheckpointMismatch reports a sweep manifest that was written
 // under a different SweepSpec than the one trying to resume from it.
 var ErrSweepCheckpointMismatch = errors.New("sops: sweep checkpoint belongs to a different spec")
@@ -313,28 +307,17 @@ func (ck *sweepCheckpointer) flush() error {
 	return ck.writeLocked()
 }
 
-// writeLocked atomically replaces the sealed manifest, keeping the
-// previous generation; ck.mu must be held. The binary format encodes into
-// a scratch buffer the checkpointer reuses across writes, so the periodic
+// writeLocked atomically replaces the sealed manifest frame, keeping the
+// previous generation; ck.mu must be held. The frame is encoded into a
+// scratch buffer the checkpointer reuses across writes, so the periodic
 // manifest rewrite does not allocate once the buffer has grown to size.
 func (ck *sweepCheckpointer) writeLocked() error {
-	if manifestBinary {
-		frame := ck.enc.EncodeManifest(ck.key, len(ck.done), func(i int) snapbin.ManifestRecord {
-			rec := &ck.done[i]
-			return snapbin.ManifestRecord{Index: rec.Index, Retries: rec.Retries, Snap: rec.Snap}
-		})
-		ck.sealed = seal.AppendEncode(ck.sealed[:0], frame)
-		if err := seal.WriteSealed(ck.path, ck.sealed, 0o644); err != nil {
-			return fmt.Errorf("sops: write sweep checkpoint: %w", err)
-		}
-		ck.sinceWrite = 0
-		return nil
-	}
-	data, err := json.Marshal(sweepManifest{Key: ck.key, Done: ck.done})
-	if err != nil {
-		return fmt.Errorf("sops: encode sweep checkpoint: %w", err)
-	}
-	if err := seal.WriteFile(ck.path, data, 0o644); err != nil {
+	frame := ck.enc.EncodeManifest(ck.key, len(ck.done), func(i int) snapbin.ManifestRecord {
+		rec := &ck.done[i]
+		return snapbin.ManifestRecord{Index: rec.Index, Retries: rec.Retries, Snap: rec.Snap}
+	})
+	ck.sealed = seal.AppendEncode(ck.sealed[:0], frame)
+	if err := seal.WriteSealed(ck.path, ck.sealed, 0o644); err != nil {
 		return fmt.Errorf("sops: write sweep checkpoint: %w", err)
 	}
 	ck.sinceWrite = 0
