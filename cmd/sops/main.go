@@ -176,10 +176,18 @@ func run() error {
 	if *line {
 		layout = sops.LayoutLine
 	}
+	opts := sops.Options{
+		Counts:       counts,
+		Layout:       layout,
+		Separated:    *separated,
+		Lambda:       *lambda,
+		Gamma:        *gamma,
+		Model:        *model,
+		Couplings:    coupMap,
+		DisableSwaps: *noswap,
+		Seed:         *seed,
+	}
 	if *workers > 0 {
-		if *model != "" && *model != "separation" {
-			return fmt.Errorf("the distributed amoebot runtime runs only the separation model (got -model %s)", *model)
-		}
 		faults := sops.FaultOptions{
 			Seed:      *faultSeed,
 			CrashProb: *crashProb,
@@ -187,7 +195,7 @@ func run() error {
 			DropFrac:  *dropFrac,
 			StallProb: *stallProb,
 		}
-		return runDistributed(counts, layout, *separated, *lambda, *gamma, *noswap, *seed, *iters, *workers, *ascii, faults, *auditEvery, *listen)
+		return runDistributed(opts, *iters, *workers, *ascii, faults, *auditEvery, *listen)
 	}
 	var sys *sops.System
 	if *resume {
@@ -198,21 +206,8 @@ func run() error {
 			return err
 		}
 		fmt.Printf("resumed from %s at step %d\n", *ckpt, sys.Steps())
-	} else {
-		sys, err = sops.New(sops.Options{
-			Counts:       counts,
-			Layout:       layout,
-			Separated:    *separated,
-			Lambda:       *lambda,
-			Gamma:        *gamma,
-			Model:        *model,
-			Couplings:    coupMap,
-			DisableSwaps: *noswap,
-			Seed:         *seed,
-		})
-		if err != nil {
-			return err
-		}
+	} else if sys, err = sops.New(opts); err != nil {
+		return err
 	}
 	if *ckpt != "" {
 		sys.SetAutoCheckpoint(*ckpt, *ckptEvery)
@@ -332,16 +327,8 @@ func run() error {
 
 // runDistributed executes the workload on the concurrent amoebot runtime,
 // optionally under deterministic fault injection and invariant auditing.
-func runDistributed(counts []int, layout sops.Layout, separated bool, lambda, gamma float64, noswap bool, seed, iters uint64, workers int, ascii bool, faults sops.FaultOptions, auditEvery uint64, listen string) error {
-	d, err := sops.NewDistributed(sops.Options{
-		Counts:       counts,
-		Layout:       layout,
-		Separated:    separated,
-		Lambda:       lambda,
-		Gamma:        gamma,
-		DisableSwaps: noswap,
-		Seed:         seed,
-	})
+func runDistributed(opts sops.Options, iters uint64, workers int, ascii bool, faults sops.FaultOptions, auditEvery uint64, listen string) error {
+	d, err := sops.NewDistributed(opts)
 	if err != nil {
 		return err
 	}
@@ -352,8 +339,8 @@ func runDistributed(counts []int, layout sops.Layout, separated bool, lambda, ga
 			Probe: probe,
 			Info: map[string]any{
 				"workload": "distributed amoebot runtime",
-				"workers":  workers, "lambda": lambda, "gamma": gamma,
-				"activations": iters, "seed": seed,
+				"workers":  workers, "lambda": opts.Lambda, "gamma": opts.Gamma,
+				"activations": iters, "seed": opts.Seed,
 			},
 		})
 		addr, err := srv.Start(listen)
@@ -374,7 +361,11 @@ func runDistributed(counts []int, layout sops.Layout, separated bool, lambda, ga
 	d.SetAuditEvery(auditEvery)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	fmt.Printf("distributed runtime: %d workers, %d activations\n", workers, iters)
+	model := opts.Model
+	if model == "" {
+		model = "separation"
+	}
+	fmt.Printf("distributed runtime: model %s, %d workers, %d activations\n", model, workers, iters)
 	performed, moves, swaps, err := d.RunContext(ctx, iters, workers)
 	if err != nil {
 		if !errors.Is(err, context.Canceled) {
@@ -388,8 +379,8 @@ func runDistributed(counts []int, layout sops.Layout, separated bool, lambda, ga
 			st.Crashes, st.Restarts, st.Dropped, st.Stalls)
 	}
 	m := d.Metrics()
-	fmt.Printf("accepted %d moves, %d swaps; α=%.3f h=%d segregation=%.3f phase=%s\n",
-		moves, swaps, m.Alpha, m.HetEdges, m.Segregation, m.Phase)
+	fmt.Printf("accepted %d moves, %d swaps; α=%.3f h=%d segregation=%.3f phase=%s energy=%.3f\n",
+		moves, swaps, m.Alpha, m.HetEdges, m.Segregation, m.Phase, d.Energy())
 	if err := d.CheckInvariants(); err != nil {
 		return fmt.Errorf("final invariant audit: %w", err)
 	}

@@ -25,10 +25,14 @@ type (
 )
 
 // Distributed is the asynchronous amoebot-model execution of the
-// separation algorithm: particles are independent agents; activations may
-// run concurrently and are serialized only where their neighborhoods
-// overlap. Its quiescent snapshots satisfy the same invariants as the
-// centralized chain.
+// distributed algorithm A for the model Options select: particles are
+// independent agents; activations may run concurrently and are serialized
+// only where their neighborhoods overlap. Every activation decides through
+// the same rule as the centralized chain's step, so a sequential run
+// (workers ≤ 1) is the chain's trajectory until a proposal reaches the
+// arena edge, and its quiescent snapshots satisfy the same invariants.
+// Models with a schedule (anneal) are rejected: concurrent activations
+// have no global step order at which to change couplings.
 //
 // RunContext spawns the concurrency internally; the Distributed value
 // itself is a single-controller object — do not call RunContext from
@@ -47,23 +51,26 @@ type Distributed struct {
 // the small cell indices sweeps use so the streams never collide.
 const schedulerStream = 0x5eed<<32 | 0x5c4ed
 
-// NewDistributed builds a distributed execution from options. The arena is
-// sized automatically. Scheduler randomness derives from Options.Seed:
-// equal options give identical sequences of runs.
+// NewDistributed builds a distributed execution from options, binding the
+// model and couplings as New does. The arena is sized automatically.
+// Scheduler randomness derives from Options.Seed: equal options give
+// identical sequences of runs.
 func NewDistributed(opts Options) (*Distributed, error) {
 	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	m, coup, err := opts.resolveModel()
+	if err != nil {
 		return nil, err
 	}
 	cfg, err := initialConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	world, err := amoebot.NewWorld(cfg, core.Params{
-		Lambda:       opts.Lambda,
-		Gamma:        opts.Gamma,
+	world, err := amoebot.NewWorldWithModel(cfg, core.Params{
 		DisableSwaps: opts.DisableSwaps,
 		Seed:         opts.Seed,
-	}, 0)
+	}, m, coup, 0)
 	if err != nil {
 		return nil, fmt.Errorf("sops: %w", err)
 	}
@@ -165,12 +172,9 @@ func (d *Distributed) Frozen(id int) bool { return d.world.Frozen(id) }
 // probe may be shared with a System or a debug server.
 func (d *Distributed) SetProbe(p *Probe) { d.world.SetProbe(p) }
 
-// Energy returns the Hamiltonian of a quiescent snapshot under the
-// execution's bias parameters — comparable with System.Energy on equal
-// configurations.
-func (d *Distributed) Energy() float64 {
-	return core.Energy(d.world.Snapshot(), d.world.Params())
-}
+// Energy returns the bound model's Hamiltonian of a quiescent snapshot —
+// comparable with System.Energy on equal configurations.
+func (d *Distributed) Energy() float64 { return d.world.Energy() }
 
 // Snapshot returns a quiescent copy of the configuration.
 func (d *Distributed) Snapshot() *Config { return d.world.Snapshot() }

@@ -7,29 +7,26 @@ import (
 	"sops/internal/rng"
 )
 
-// lockedView adapts the locked grid region to psys.Occupancy for the
-// movement-property checks. It must only be queried for cells covered by
-// the activation's stripe locks (the 12-cell neighborhood) or cells outside
-// the arena, which are permanently vacant.
-type lockedView struct {
-	w *World
-}
-
-// Occupied reports whether the node is occupied.
-func (v lockedView) Occupied(p lattice.Point) bool {
-	if !v.w.inArena(p) {
-		return false
+// colorAt reads arena cell p: cells outside the arena are permanently
+// vacant. It must only be queried for cells covered by the activation's
+// region locks.
+func (w *World) colorAt(p lattice.Point) (psys.Color, bool) {
+	if !w.inArena(p) {
+		return 0, false
 	}
-	return v.w.cellAt(p).occupied
+	c := w.cellAt(p)
+	return c.color, c.occupied
 }
-
-var _ psys.Occupancy = lockedView{}
 
 // Activate performs one atomic activation of particle id, driven by the
 // caller's random source: the distributed translation of one iteration of
-// Algorithm 1. It is safe to call concurrently for any particles; the
-// runtime serializes conflicting activations.
-func (w *World) Activate(id int, r *rng.Source) core.Outcome {
+// Algorithm 1. It draws a direction, gathers the pair neighborhood under
+// the region locks and decides through the bound model's rule, which
+// takes an acceptance draw only below the no-draw sentinel — the draws
+// core.Chain.Step makes after choosing its particle. It is safe to call
+// concurrently for any particles; the runtime serializes conflicting
+// activations.
+func (w *World) Activate(id int, r *rng.Buffered) core.Outcome {
 	p := w.parts[id]
 	if p.frozen.Load() {
 		return core.Rejected // crash-stopped: activation is a no-op
@@ -45,143 +42,75 @@ func (w *World) Activate(id int, r *rng.Source) core.Outcome {
 	if !w.inArena(lp) {
 		return core.Rejected
 	}
-	q := r.Float64()
-
-	unlock := w.lockRegion(l, lp)
-	defer unlock()
+	var rg region
+	for _, c := range psys.PairCells(l, dir) {
+		rg.add(c)
+	}
+	w.lock(&rg)
+	defer w.unlock(&rg)
 	if f := w.lockDelay.Load(); f != nil {
 		// Fault-injection stall: hold the region locks longer so that
 		// conflicting activations contend on adverse schedules.
 		(*f)()
 	}
 
-	view := lockedView{w}
-	target := w.cellAt(lp)
-	self := w.cellAt(l)
-	ci := self.color
-
-	if target.occupied {
-		return w.swapLocked(self, target, l, lp, ci, q)
-	}
-	return w.moveLocked(p, self, target, l, lp, ci, q, view)
+	p.gather = psys.GatherPairFrom(w.colorAt, l, dir)
+	o := w.rule.Decide(&p.gather, p.dE, r)
+	w.apply(p, o, lp)
+	return o
 }
 
-// moveLocked applies steps 3–8 of Algorithm 1 under the region locks.
-func (w *World) moveLocked(p *Particle, self, target *cell, l, lp lattice.Point, ci psys.Color, q float64, view lockedView) core.Outcome {
-	e := w.degreeLocked(l, lp, false)
-	if e == 5 {
-		return core.Rejected
+// apply commits particle p's decided outcome toward lp under the region
+// locks. A swap exchanges the colors stored in the two cells (footnote 2
+// of the paper: in domains where physical swaps are unrealistic, colors
+// are in-memory attributes exchanged by neighbors); both particles stay.
+func (w *World) apply(p *Particle, o core.Outcome, lp lattice.Point) {
+	if o == core.Rejected {
+		return
 	}
-	if !psys.Property4On(view, l, lp) && !psys.Property5On(view, l, lp) {
-		return core.Rejected
+	self, target := w.cellAt(p.pos), w.cellAt(lp)
+	if o == core.Swapped {
+		self.color, target.color = target.color, self.color
+		return
 	}
-	ep := w.degreeLocked(lp, l, true)
-	ei := w.colorDegreeLocked(l, lp, false, ci)
-	epi := w.colorDegreeLocked(lp, l, true, ci)
-	prob := w.powLambda[ep-e+12] * w.powGamma[epi-ei+12]
-	if prob < 1 && q >= prob {
-		return core.Rejected
-	}
+	*target = cell{occupied: true, color: self.color, particle: p.id}
 	self.occupied = false
-	target.occupied = true
-	target.color = ci
-	target.particle = p.id
 	p.pos = lp
-	return core.Moved
 }
 
-// swapLocked applies steps 9–10 of Algorithm 1 under the region locks.
-// Swaps exchange the colors stored in the two cells (footnote 2 of the
-// paper: in domains where physical swaps are unrealistic, colors are
-// in-memory attributes exchanged by neighbors).
-func (w *World) swapLocked(self, target *cell, l, lp lattice.Point, ci psys.Color, q float64) core.Outcome {
-	if w.params.DisableSwaps {
-		return core.Rejected
-	}
-	cj := target.color
-	exp := w.colorDegreeLocked(lp, l, true, ci) - w.colorDegreeLocked(l, lattice.Point{}, false, ci) +
-		w.colorDegreeLocked(l, lp, true, cj) - w.colorDegreeLocked(lp, lattice.Point{}, false, cj)
-	prob := w.powGamma[exp+12]
-	if prob < 1 && q >= prob {
-		return core.Rejected
-	}
-	if ci == cj {
-		return core.Rejected // accepted no-op
-	}
-	self.color, target.color = cj, ci
-	return core.Swapped
+// region is the ascending, deduplicated set of lock stripes covering an
+// activation's cells — at most the 19 cells within distance 2 of the
+// activating particle. Acquiring stripes in ascending order rules out
+// deadlock between overlapping activations.
+type region struct {
+	stripes [19]int
+	n       int
 }
 
-// degreeLocked counts occupied neighbors of p; when excluding, the node ex
-// is skipped.
-func (w *World) degreeLocked(p, ex lattice.Point, excluding bool) int {
-	d := 0
-	for _, nb := range p.Neighbors() {
-		if excluding && nb == ex {
-			continue
-		}
-		if w.inArena(nb) && w.cellAt(nb).occupied {
-			d++
+// add includes the stripe of cell p.
+func (rg *region) add(p lattice.Point) {
+	s := stripeOf(p)
+	for _, t := range rg.stripes[:rg.n] {
+		if t == s {
+			return
 		}
 	}
-	return d
+	i := rg.n
+	for ; i > 0 && rg.stripes[i-1] > s; i-- {
+		rg.stripes[i] = rg.stripes[i-1]
+	}
+	rg.stripes[i] = s
+	rg.n++
 }
 
-// colorDegreeLocked counts occupied neighbors of p with the given color;
-// when excluding, the node ex is skipped.
-func (w *World) colorDegreeLocked(p, ex lattice.Point, excluding bool, col psys.Color) int {
-	d := 0
-	for _, nb := range p.Neighbors() {
-		if excluding && nb == ex {
-			continue
-		}
-		if !w.inArena(nb) {
-			continue
-		}
-		if c := w.cellAt(nb); c.occupied && c.color == col {
-			d++
-		}
-	}
-	return d
-}
-
-// lockRegion acquires the stripe locks covering the 12-cell read/write set
-// of an activation at (l, lp), in sorted order to avoid deadlock, and
-// returns the matching unlock function.
-func (w *World) lockRegion(l, lp lattice.Point) func() {
-	var stripes [12]int
-	n := 0
-	add := func(p lattice.Point) {
-		s := stripeOf(p)
-		for i := 0; i < n; i++ {
-			if stripes[i] == s {
-				return
-			}
-		}
-		stripes[n] = s
-		n++
-	}
-	add(l)
-	add(lp)
-	for _, nb := range l.Neighbors() {
-		add(nb)
-	}
-	for _, nb := range lp.Neighbors() {
-		add(nb)
-	}
-	// Insertion sort the deduplicated stripe ids.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && stripes[j] < stripes[j-1]; j-- {
-			stripes[j], stripes[j-1] = stripes[j-1], stripes[j]
-		}
-	}
-	locked := stripes[:n]
-	for _, s := range locked {
+func (w *World) lock(rg *region) {
+	for _, s := range rg.stripes[:rg.n] {
 		w.stripes[s].Lock()
 	}
-	return func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			w.stripes[locked[i]].Unlock()
-		}
+}
+
+func (w *World) unlock(rg *region) {
+	for i := rg.n - 1; i >= 0; i-- {
+		w.stripes[rg.stripes[i]].Unlock()
 	}
 }

@@ -7,13 +7,17 @@ import (
 	"sops/internal/rng"
 )
 
-// This file is the strictly local, anonymous formulation of the separation
-// algorithm: the agent program reads its surroundings exclusively through a
-// LocalView addressed by private port labels, so it cannot observe global
-// coordinates, a shared compass, or particle identities — exactly the
-// informational constraints of the amoebot model (§2.1). ActivateAgent runs
-// the very same algorithm as Activate but through this restricted
-// interface; tests verify the two produce identical executions.
+// This file is the strictly local, anonymous formulation of the
+// distributed algorithm: the agent program reads its surroundings
+// exclusively through a LocalView addressed by private port labels, so it
+// cannot observe global coordinates, a shared compass, or particle
+// identities — exactly the informational constraints of the amoebot model
+// (§2.1). It packs the pair neighborhood in its own private frame and
+// decides at its private direction through the same core.Rule as
+// Activate. The rule's tables are rotation-covariant (validity, exponents
+// and color counts are unchanged when a gather is rotated with its
+// direction), so the private frame decides exactly what the global frame
+// would; tests verify the two produce identical executions.
 
 // Port is an edge label in a particle's private orientation: port p of a
 // particle with orientation rot refers to global direction (p + rot) mod 6.
@@ -49,209 +53,56 @@ func (v *LocalView) TargetInArena(p Port) bool {
 	return v.w.inArena(v.pos.Neighbor(v.globalDir(p)))
 }
 
-// Occupied reports whether the neighbor at the given port is occupied.
-func (v *LocalView) Occupied(p Port) bool {
-	nb := v.pos.Neighbor(v.globalDir(p))
-	return v.w.inArena(nb) && v.w.cellAt(nb).occupied
-}
-
 // NeighborColor returns the color of the neighbor at the given port; ok is
 // false if the cell is vacant.
 func (v *LocalView) NeighborColor(p Port) (psys.Color, bool) {
-	nb := v.pos.Neighbor(v.globalDir(p))
-	if !v.w.inArena(nb) {
-		return 0, false
-	}
-	c := v.w.cellAt(nb)
-	if !c.occupied {
-		return 0, false
-	}
-	return c.color, true
-}
-
-// TargetOccupied reports occupancy of the j-th neighbor of the target node
-// reached through movement port move, in the same private frame. j indexes
-// the target's neighbors as ports of the target node.
-func (v *LocalView) TargetOccupied(move, j Port) bool {
-	target := v.pos.Neighbor(v.globalDir(move))
-	nb := target.Neighbor(v.globalDir(j))
-	if nb == v.pos {
-		return true // the activating particle itself
-	}
-	return v.w.inArena(nb) && v.w.cellAt(nb).occupied
+	return v.w.colorAt(v.pos.Neighbor(v.globalDir(p)))
 }
 
 // TargetNeighborColor returns the color of the target's j-th neighbor. The
 // activating particle's own cell reports its own color.
 func (v *LocalView) TargetNeighborColor(move, j Port) (psys.Color, bool) {
-	target := v.pos.Neighbor(v.globalDir(move))
-	nb := target.Neighbor(v.globalDir(j))
-	if !v.w.inArena(nb) {
-		return 0, false
-	}
-	c := v.w.cellAt(nb)
-	if !c.occupied {
-		return 0, false
-	}
-	return c.color, true
+	return v.w.colorAt(v.pos.Neighbor(v.globalDir(move)).Neighbor(v.globalDir(j)))
 }
 
-// relativeOccupancy materializes the 12-cell neighborhood in the agent's
-// private coordinate frame (own node at the origin, port p pointing at
-// lattice direction p), for the movement-property checks. It implements
-// psys.Occupancy over private coordinates only. Every relevant cell lies
-// within lattice distance 2 of the origin, so axial coordinates stay in
-// [−2, 2]² and a 25-bit mask replaces the map the seed implementation
-// allocated per activation.
-type relativeOccupancy struct {
-	mask uint32 // bit (R+2)·5 + (Q+2) for Q, R ∈ [−2, 2]
-}
-
-// Occupied reports occupancy at a private-frame coordinate.
-func (r *relativeOccupancy) Occupied(p lattice.Point) bool {
-	if p.Q < -2 || p.Q > 2 || p.R < -2 || p.R > 2 {
-		return false
-	}
-	return r.mask>>(uint(p.R+2)*5+uint(p.Q+2))&1 != 0
-}
-
-func (r *relativeOccupancy) set(p lattice.Point) {
-	r.mask |= 1 << (uint(p.R+2)*5 + uint(p.Q+2))
-}
-
-// relativeNeighborhood builds the private-frame occupancy around the agent
-// and its movement target from view reads alone.
-func relativeNeighborhood(v *LocalView, move Port) relativeOccupancy {
-	var rel relativeOccupancy
+// at reads private-frame cell q of an activation moving through port
+// move: the own node is the origin, port p points along lattice direction
+// p, and q is the origin or a neighbor of the origin or of the target —
+// the cells of a pair gather. Every read goes through the port-addressed
+// view.
+func (v *LocalView) at(move Port, q lattice.Point) (psys.Color, bool) {
 	origin := lattice.Point{}
-	target := origin.Neighbor(lattice.Direction(move))
-	rel.set(origin)
-	for p := Port(0); p < lattice.NumDirections; p++ {
-		if v.Occupied(p) {
-			rel.set(origin.Neighbor(lattice.Direction(p)))
-		}
-		if v.TargetOccupied(move, p) {
-			rel.set(target.Neighbor(lattice.Direction(p)))
-		}
+	if q == origin {
+		return v.OwnColor(), true
 	}
-	return rel
+	if p, ok := origin.DirectionTo(q); ok {
+		return v.NeighborColor(Port(p))
+	}
+	j, _ := origin.Neighbor(lattice.Direction(move)).DirectionTo(q)
+	return v.TargetNeighborColor(move, Port(j))
 }
 
-// agentDecision is the outcome of the pure agent program.
-type agentDecision struct {
-	act  core.Outcome // Rejected, Moved or Swapped
-	port Port         // meaningful unless act == Rejected
-}
-
-// runAgent is the agent program for Algorithm 1: a pure function of the
-// local view and the activation's randomness. It never touches the world
+// runAgent is the agent program for Algorithm 1: a function of the local
+// view, the model's rule and the activation's randomness. It draws a
+// movement port, packs the pair neighborhood into g in its private frame
+// and decides at its private direction. It never touches the world
 // directly.
-func runAgent(v *LocalView, params core.Params, pows *powers, r *rng.Source) agentDecision {
+func runAgent(v *LocalView, rule *core.Rule, g *psys.PairGather, dE []int8, r *rng.Buffered) (core.Outcome, Port) {
 	move := Port(r.Intn(lattice.NumDirections))
 	if !v.TargetInArena(move) {
-		return agentDecision{act: core.Rejected}
+		return core.Rejected, move
 	}
-	q := r.Float64()
-	ci := v.OwnColor()
-
-	if cj, occupied := v.NeighborColor(move); occupied {
-		// Swap arm (steps 9–10).
-		if params.DisableSwaps {
-			return agentDecision{act: core.Rejected}
-		}
-		back := Port((int(move) + 3) % lattice.NumDirections)
-		exp := 0
-		for p := Port(0); p < lattice.NumDirections; p++ {
-			if col, ok := v.NeighborColor(p); ok && p != move {
-				if col == ci {
-					exp-- // |N_i(l)| (Q at move excluded separately below)
-				}
-				if col == cj {
-					exp++ // |N_j(l) \ {Q}|
-				}
-			}
-			if col, ok := v.TargetNeighborColor(move, p); ok && p != back {
-				if col == ci {
-					exp++ // |N_i(l') \ {P}|
-				}
-				if col == cj {
-					exp-- // |N_j(l')|
-				}
-			}
-		}
-		// Corrections for the two endpoints themselves: Q (color cj, at
-		// port move from l) counts in N_j(l) \ {Q}? No — excluded. But it
-		// does count in |N_i(l)| when cj == ci; the loop above skipped
-		// p == move entirely, so add that term back.
-		if cj == ci {
-			exp-- // Q ∈ N_i(l)
-		}
-		// P (color ci, sits at the target's back port) counts in N_j(l')
-		// when ci == cj; the loop skipped p == back.
-		if ci == cj {
-			exp-- // P ∈ N_j(l')
-		}
-		prob := pows.gamma(exp)
-		if prob < 1 && q >= prob {
-			return agentDecision{act: core.Rejected}
-		}
-		if ci == cj {
-			return agentDecision{act: core.Rejected}
-		}
-		return agentDecision{act: core.Swapped, port: move}
-	}
-
-	// Move arm (steps 3–8).
-	e, ei := 0, 0
-	for p := Port(0); p < lattice.NumDirections; p++ {
-		if col, ok := v.NeighborColor(p); ok {
-			e++
-			if col == ci {
-				ei++
-			}
-		}
-	}
-	if e == 5 {
-		return agentDecision{act: core.Rejected}
-	}
-	rel := relativeNeighborhood(v, move)
-	origin := lattice.Point{}
-	target := origin.Neighbor(lattice.Direction(move))
-	if !psys.Property4On(&rel, origin, target) && !psys.Property5On(&rel, origin, target) {
-		return agentDecision{act: core.Rejected}
-	}
-	back := Port((int(move) + 3) % lattice.NumDirections)
-	ep, epi := 0, 0
-	for p := Port(0); p < lattice.NumDirections; p++ {
-		if p == back {
-			continue // own cell: excluded from e'
-		}
-		if col, ok := v.TargetNeighborColor(move, p); ok {
-			ep++
-			if col == ci {
-				epi++
-			}
-		}
-	}
-	prob := pows.lambda(ep-e) * pows.gamma(epi-ei)
-	if prob < 1 && q >= prob {
-		return agentDecision{act: core.Rejected}
-	}
-	return agentDecision{act: core.Moved, port: move}
+	*g = psys.GatherPairFrom(func(q lattice.Point) (psys.Color, bool) { return v.at(move, q) },
+		lattice.Point{}, lattice.Direction(move))
+	return rule.Decide(g, dE, r), move
 }
-
-// powers adapts the world's precomputed power tables for the agent.
-type powers struct{ w *World }
-
-func (p *powers) lambda(k int) float64 { return p.w.powLambda[k+12] }
-func (p *powers) gamma(k int) float64  { return p.w.powGamma[k+12] }
 
 // ActivateAgent performs one atomic activation of particle id through the
 // strictly local agent program. It is behaviorally identical to Activate
 // (tests assert exact execution equality when orientations are trivial)
 // but structurally guarantees locality: the decision logic sees the world
 // only through LocalView.
-func (w *World) ActivateAgent(id int, r *rng.Source) core.Outcome {
+func (w *World) ActivateAgent(id int, r *rng.Buffered) core.Outcome {
 	p := w.parts[id]
 	if p.frozen.Load() {
 		return core.Rejected
@@ -261,76 +112,22 @@ func (w *World) ActivateAgent(id int, r *rng.Source) core.Outcome {
 	w.global.RLock()
 	defer w.global.RUnlock()
 
+	// The agent draws its port inside its program, so lock every pair
+	// region it could choose: the 19 cells within distance 2 of l.
 	l := p.pos
-	// Lock pessimistically over all cells within distance 2 by locking the
-	// union for every possible target; cheaper: draw the port first.
-	// To keep the decision function pure we must draw randomness inside
-	// runAgent, so peek the port by cloning the stream position: instead,
-	// lock the full two-neighborhood of l, which covers every target's
-	// neighborhood.
-	unlock := w.lockTwoNeighborhood(l)
-	defer unlock()
+	var rg region
+	rg.add(l)
+	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+		nb := l.Neighbor(d)
+		rg.add(nb)
+		rg.add(nb.Neighbor(d))
+		rg.add(nb.Neighbor(d.Next()))
+	}
+	w.lock(&rg)
+	defer w.unlock(&rg)
 
 	view := &LocalView{w: w, pos: l, rot: p.orientation}
-	dec := runAgent(view, w.params, &powers{w}, r)
-	switch dec.act {
-	case core.Moved:
-		lp := l.Neighbor(view.globalDir(dec.port))
-		self := w.cellAt(l)
-		targetCell := w.cellAt(lp)
-		self.occupied = false
-		targetCell.occupied = true
-		targetCell.color = view.OwnColor()
-		targetCell.particle = p.id
-		// The moving particle keeps its private orientation.
-		p.pos = lp
-		return core.Moved
-	case core.Swapped:
-		lp := l.Neighbor(view.globalDir(dec.port))
-		self := w.cellAt(l)
-		other := w.cellAt(lp)
-		self.color, other.color = other.color, self.color
-		return core.Swapped
-	default:
-		return core.Rejected
-	}
-}
-
-// lockTwoNeighborhood acquires the stripes covering every cell within
-// lattice distance 2 of l (19 cells), sufficient for any movement target's
-// full neighborhood.
-func (w *World) lockTwoNeighborhood(l lattice.Point) func() {
-	var stripes [19]int
-	n := 0
-	add := func(p lattice.Point) {
-		s := stripeOf(p)
-		for i := 0; i < n; i++ {
-			if stripes[i] == s {
-				return
-			}
-		}
-		stripes[n] = s
-		n++
-	}
-	add(l)
-	for _, nb := range l.Neighbors() {
-		add(nb)
-	}
-	for _, p := range lattice.Ring(l, 2) {
-		add(p)
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && stripes[j] < stripes[j-1]; j-- {
-			stripes[j], stripes[j-1] = stripes[j-1], stripes[j]
-		}
-	}
-	locked := stripes[:n]
-	for _, s := range locked {
-		w.stripes[s].Lock()
-	}
-	return func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			w.stripes[locked[i]].Unlock()
-		}
-	}
+	o, port := runAgent(view, w.rule, &p.gather, p.dE, r)
+	w.apply(p, o, l.Neighbor(view.globalDir(port)))
+	return o
 }

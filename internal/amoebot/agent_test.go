@@ -12,36 +12,48 @@ import (
 // TestAgentMatchesDirectImplementation is the behavioral-equivalence proof
 // for the strictly local agent program: with trivial orientations and the
 // same random stream, ActivateAgent must produce exactly the same outcome
-// sequence and world trajectory as the direct Activate.
+// sequence and world trajectory as the direct Activate — for the paper's
+// separation dynamics and for alignment at k = 3.
 func TestAgentMatchesDirectImplementation(t *testing.T) {
-	params := core.Params{Lambda: 4, Gamma: 4, Seed: 5}
-	mk := func() *World {
-		cfg, err := core.Initial(core.LayoutSpiral, []int{12, 12}, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewWorld(cfg, params, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := 0; id < w.N(); id++ {
-			w.SetOrientation(id, 0)
-		}
-		return w
-	}
-	direct, agent := mk(), mk()
-	rd, ra := rng.New(77), rng.New(77)
-	sched := rng.New(33)
-	for step := 0; step < 200000; step++ {
-		id := sched.Intn(direct.N())
-		od := direct.Activate(id, rd)
-		oa := agent.ActivateAgent(id, ra)
-		if od != oa {
-			t.Fatalf("step %d: direct=%v agent=%v", step, od, oa)
-		}
-	}
-	if direct.Snapshot().CanonicalKey() != agent.Snapshot().CanonicalKey() {
-		t.Fatal("trajectories diverged despite identical outcomes")
+	for _, tc := range []struct {
+		name   string
+		counts []int
+		model  core.Model
+		coup   []float64
+	}{
+		{"separation", []int{12, 12}, core.Separation, []float64{4, 4}},
+		{"alignment-k3", []int{8, 8, 8}, core.Alignment, []float64{4, 6, 1.5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *World {
+				cfg, err := core.Initial(core.LayoutSpiral, tc.counts, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := NewWorldWithModel(cfg, core.Params{Seed: 5}, tc.model, tc.coup, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := 0; id < w.N(); id++ {
+					w.SetOrientation(id, 0)
+				}
+				return w
+			}
+			direct, agent := mk(), mk()
+			rd, ra := rng.NewBuffered(77), rng.NewBuffered(77)
+			sched := rng.New(33)
+			for step := 0; step < 200000; step++ {
+				id := sched.Intn(direct.N())
+				od := direct.Activate(id, rd)
+				oa := agent.ActivateAgent(id, ra)
+				if od != oa {
+					t.Fatalf("step %d: direct=%v agent=%v", step, od, oa)
+				}
+			}
+			if direct.Snapshot().CanonicalKey() != agent.Snapshot().CanonicalKey() {
+				t.Fatal("trajectories diverged despite identical outcomes")
+			}
+		})
 	}
 }
 
@@ -56,7 +68,7 @@ func TestAgentWithRandomOrientations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(5)
+	r := rng.NewBuffered(5)
 	for step := 0; step < 1500000; step++ {
 		w.ActivateAgent(r.Intn(w.N()), r)
 	}
@@ -83,8 +95,9 @@ func TestAgentConcurrent(t *testing.T) {
 	root := rng.New(123)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
-		stream := root.NewStream()
-		go func(r *rng.Source) {
+		stream := new(rng.Buffered)
+		stream.SetState(root.NewStream())
+		go func(r *rng.Buffered) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 50000; i++ {
 				w.ActivateAgent(r.Intn(w.N()), r)
@@ -117,26 +130,39 @@ func TestLocalViewAddressing(t *testing.T) {
 	// Particle 0 at origin; its neighbor (1,0) is global East (dir 0).
 	w.SetOrientation(0, 0)
 	v := &LocalView{w: w, pos: lattice.Point{}, rot: 0}
-	if !v.Occupied(0) {
+	if _, ok := v.NeighborColor(0); !ok {
 		t.Fatal("port 0 with rot 0 should see the East neighbor")
 	}
 	for p := Port(1); p < 6; p++ {
-		if v.Occupied(p) {
+		if _, ok := v.NeighborColor(p); ok {
 			t.Fatalf("port %d unexpectedly occupied", p)
 		}
 	}
 	// Rotated by 2: the East neighbor appears at port 6-2=4.
 	v2 := &LocalView{w: w, pos: lattice.Point{}, rot: 2}
-	if !v2.Occupied(4) {
+	if _, ok := v2.NeighborColor(4); !ok {
 		t.Fatal("port 4 with rot 2 should see the East neighbor")
 	}
-	if v2.Occupied(0) {
+	if _, ok := v2.NeighborColor(0); ok {
 		t.Fatal("port 0 with rot 2 should be vacant")
 	}
-	// TargetOccupied: from origin through the East neighbor (its own cell
-	// seen from the target is the back port).
-	if !v.TargetOccupied(0, 3) {
-		t.Fatal("own cell must appear occupied from the target's back port")
+	// From origin through the East neighbor, the target's back port is
+	// the activating particle's own cell.
+	if col, ok := v.TargetNeighborColor(0, 3); !ok || col != v.OwnColor() {
+		t.Fatal("own cell must appear occupied, in its own color, from the target's back port")
+	}
+	// The private frame reads the same cells: with rot 2 the East
+	// neighbor sits at private point origin+dir(4), and the cell beyond it
+	// along port 4 (global (2,0)) is vacant.
+	east := lattice.Point{}.Neighbor(4)
+	if _, ok := v2.at(4, lattice.Point{}); !ok {
+		t.Fatal("private-frame origin must read the own cell")
+	}
+	if _, ok := v2.at(4, east); !ok {
+		t.Fatal("private-frame port 4 target must read the East neighbor")
+	}
+	if _, ok := v2.at(4, east.Neighbor(4)); ok {
+		t.Fatal("private-frame cell beyond the target must be vacant")
 	}
 }
 
@@ -149,7 +175,7 @@ func BenchmarkActivateAgent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rng.New(1)
+	r := rng.NewBuffered(1)
 	n := w.N()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

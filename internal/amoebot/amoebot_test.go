@@ -15,8 +15,8 @@ import (
 var benchSeed atomic.Uint64
 
 // rngFor hands each benchmark goroutine its own seeded source.
-func rngFor(testing.TB) *rng.Source {
-	return rng.New(benchSeed.Add(1))
+func rngFor(testing.TB) *rng.Buffered {
+	return rng.NewBuffered(benchSeed.Add(1))
 }
 
 func newWorld(t testing.TB, counts []int, params core.Params) *World {
@@ -160,6 +160,71 @@ func TestRuntimeMatchesCentralizedChain(t *testing.T) {
 	}
 	if a := metrics.Compression(snap); a > 2.5 {
 		t.Fatalf("runtime compression %v too weak", a)
+	}
+}
+
+// TestSequentialRuntimeIsChain pins that the sequential runtime is chain
+// M: from the same configuration and seed, RunSequential's activation
+// loop and core.NewWithModel agree on every outcome for 10⁶ steps and end
+// on the same configuration, and RunSequential itself reaches the chain's
+// state after its first 10⁵ steps. Particle ids follow the chain's slot
+// order and each activation draws as Chain.Step does, so the runtime
+// inherits the chain's exact-π tests. The default arena is far wider than
+// the drift of these runs, so no proposal targets a cell outside it.
+func TestSequentialRuntimeIsChain(t *testing.T) {
+	const steps, prefix = 1_000_000, 100_000
+	for _, tc := range []struct {
+		name   string
+		counts []int
+		model  core.Model
+		coup   []float64
+		noSwap bool
+	}{
+		{"separation", []int{20, 20}, core.Separation, []float64{4, 4}, false},
+		{"separation-noswap", []int{20, 20}, core.Separation, []float64{4, 4}, true},
+		{"k3", []int{14, 13, 13}, core.Separation, []float64{2, 1.5}, false},
+		{"one-color", []int{40}, core.Separation, []float64{4, 1}, false},
+		{"alignment-k3", []int{14, 13, 13}, core.Alignment, []float64{4, 6, 1.5}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			params := core.Params{DisableSwaps: tc.noSwap, Seed: 11}
+			cfg, err := core.Initial(core.LayoutSpiral, tc.counts, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			world := func() *World {
+				w, err := NewWorldWithModel(cfg.Clone(), params, tc.model, tc.coup, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			}
+			w, ws := world(), world()
+			ch, err := core.NewWithModel(cfg, params, tc.model, tc.coup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.NewBuffered(params.Seed)
+			n := w.N()
+			var atPrefix core.Stats
+			var prefixCfg *psys.Config
+			for i := 1; i <= steps; i++ {
+				if got, want := w.Activate(r.Intn(n), r), ch.Step(); got != want {
+					t.Fatalf("step %d: runtime %v, chain %v", i, got, want)
+				}
+				if i == prefix {
+					atPrefix, prefixCfg = ch.Stats(), ch.Snapshot()
+				}
+			}
+			if snap := w.Snapshot(); snap.CanonicalKey() != ch.Config().CanonicalKey() || !snap.Equal(ch.Config()) {
+				t.Fatal("runtime and chain end on different configurations")
+			}
+			res := RunSequential(ws, prefix, params.Seed)
+			if res.Moves != atPrefix.Moves || res.Swaps != atPrefix.Swaps || res.Moves == 0 || !ws.Snapshot().Equal(prefixCfg) {
+				t.Fatalf("RunSequential %+v, chain %+v at step %d", res, atPrefix, prefix)
+			}
+		})
 	}
 }
 

@@ -23,9 +23,11 @@ type Result struct {
 // performs between polls of the context.
 const cancelCheckInterval = 4096
 
-// RunSequential activates uniformly random particles one at a time —
-// the standard asynchronous model's canonical sequential execution, and the
-// direct analogue of the centralized chain M.
+// RunSequential activates uniformly random particles one at a time — the
+// standard asynchronous model's canonical sequential execution. It draws
+// the particle and then its activation from one buffered stream exactly
+// as core.Chain.Step does, so from seed s it is the chain from seed s step
+// for step until a proposal targets a cell outside the arena.
 func RunSequential(w *World, activations uint64, seed uint64) Result {
 	res, _ := RunSequentialContext(context.Background(), w, activations, seed)
 	return res
@@ -46,7 +48,7 @@ func RunSequentialContext(ctx context.Context, w *World, activations uint64, see
 // failure aborts the run with the *psys.InvariantError. inj may be nil.
 // A sequential faulty run is exactly reproducible from (seed, fault seed).
 func RunSequentialFault(ctx context.Context, w *World, activations uint64, seed uint64, inj *fault.Injector) (Result, error) {
-	r := rng.New(seed)
+	r := rng.NewBuffered(seed)
 	var res Result
 	var stream *fault.Stream
 	if inj != nil {
@@ -155,13 +157,14 @@ func RunConcurrentFault(ctx context.Context, w *World, activations uint64, worke
 		if uint64(wi) < extra {
 			budget++
 		}
-		stream := root.NewStream()
+		stream := new(rng.Buffered)
+		stream.SetState(root.NewStream())
 		var faults *fault.Stream
 		if inj != nil {
 			faults = inj.Stream(wi)
 		}
 		wg.Add(1)
-		go func(budget uint64, r *rng.Source, faults *fault.Stream) {
+		go func(budget uint64, r *rng.Buffered, faults *fault.Stream) {
 			defer wg.Done()
 			// Each source batches its own probe publishes: cache-line
 			// padded counters absorb the concurrent Adds without

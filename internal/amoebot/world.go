@@ -1,27 +1,29 @@
 // Package amoebot is the distributed runtime for the amoebot model (§2.1):
-// particles are anonymous agents with strictly local views that execute the
-// separation algorithm A — the distributed translation of Markov chain M —
-// under an asynchronous scheduler.
+// particles are anonymous agents with strictly local views that execute
+// the distributed algorithm A — chain M's local rule — under an
+// asynchronous scheduler, for any registered model without a schedule.
 //
 // Following the model's atomicity assumption, one activation is one atomic
 // action: the activated particle reads its local neighborhood, performs
 // bounded computation, and applies at most one movement (expansion plus
-// contraction, i.e. one iteration of Algorithm 1) or swap. Concurrent
-// activations are allowed; the runtime resolves conflicts with striped
-// region locks over each activation's 12-cell read/write set, which makes
-// every concurrent execution equivalent to some sequential ordering of
-// activations — the classical serializability argument the paper invokes.
+// contraction, i.e. one iteration of Algorithm 1) or swap. The decision
+// is the chain's own: an activation packs its 10-cell pair neighborhood
+// into a psys.PairGather and decides through the bound model's core.Rule,
+// so the runtime has no arithmetic of its own. Concurrent activations are
+// allowed; the runtime resolves conflicts with striped region locks over
+// each activation's read/write set, which makes every concurrent execution
+// equivalent to some sequential ordering of activations — the classical
+// serializability argument the paper invokes.
 //
 // The arena is a bounded hexagonal region (physical systems are bounded);
-// proposals that would leave the arena are rejected. The centralized chain
-// in package core remains the reference implementation for measurements on
-// the unbounded lattice.
+// proposals that would leave the arena are rejected. Away from the arena
+// edge the sequential scheduler is core.Chain step for step: particle ids
+// follow the chain's slot order and activations draw exactly as Step does.
 package amoebot
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -44,8 +46,8 @@ type cell struct {
 	particle int32 // particle id, valid when occupied
 }
 
-// Particle is one agent. Its position field is owned by its own
-// activations, serialized by mu.
+// Particle is one agent. Its position and scratch fields are owned by its
+// own activations, serialized by mu.
 type Particle struct {
 	id     int32
 	mu     sync.Mutex
@@ -55,11 +57,17 @@ type Particle struct {
 	// fixed at creation: particles share no compass (§2.1). Only the
 	// agent-program path (ActivateAgent) uses it.
 	orientation lattice.Direction
+	// gather and dE are the activation's decision scratch, kept here so
+	// passing them through the model interface never allocates.
+	gather psys.PairGather
+	dE     []int8
 }
 
 // World is the shared arena plus the particle registry.
 type World struct {
 	params core.Params
+	rule   *core.Rule
+	coup   []float64 // the bound model's full coupling vector
 	radius int
 	side   int
 	grid   []cell
@@ -69,9 +77,6 @@ type World struct {
 	// Snapshot, so snapshots observe quiescent states only.
 	global  sync.RWMutex
 	stripes [numStripes]sync.Mutex
-
-	powLambda [25]float64 // λ^k, k ∈ [−12, 12]
-	powGamma  [25]float64
 
 	// lockDelay, when set, is invoked by every activation while it holds
 	// its region locks — the fault layer's stall-injection point.
@@ -94,11 +99,25 @@ type World struct {
 var ErrOutOfArena = errors.New("amoebot: configuration outside arena")
 
 // NewWorld builds an arena of the given hexagonal radius around the origin
-// holding cfg's particles. A radius of 0 chooses one automatically
+// holding cfg's particles, running the separation dynamics at
+// params.Lambda and params.Gamma. A radius of 0 chooses one automatically
 // (diameter of the configuration plus generous slack for drift).
 func NewWorld(cfg *psys.Config, params core.Params, radius int) (*World, error) {
-	if err := params.Validate(); err != nil {
+	return NewWorldWithModel(cfg, params, core.Separation, []float64{params.Lambda, params.Gamma}, radius)
+}
+
+// NewWorldWithModel is NewWorld running model m with the full coupling
+// vector coup (nil selects the model's defaults), bound as
+// core.NewWithModel binds it; params supplies the seed and the swap
+// switch. A model with a schedule (core.Scheduler) is rejected: concurrent
+// activations have no global step order at which to change couplings.
+func NewWorldWithModel(cfg *psys.Config, params core.Params, m core.Model, coup []float64, radius int) (*World, error) {
+	m, params, coup, err := core.BindModel(m, cfg.NumColors(), params, coup)
+	if err != nil {
 		return nil, err
+	}
+	if _, ok := m.(core.Scheduler); ok {
+		return nil, fmt.Errorf("amoebot: model %q has a schedule, and concurrent activations have no global step order at which to change its couplings", m.Name())
 	}
 	if cfg.N() == 0 {
 		return nil, core.ErrEmptyConfig
@@ -121,14 +140,14 @@ func NewWorld(cfg *psys.Config, params core.Params, radius int) (*World, error) 
 	}
 	w := &World{
 		params: params,
+		coup:   coup,
 		radius: radius,
 		side:   2*radius + 1,
 	}
+	k := m.NumExponents()
+	w.rule = core.NewRule(m, coup[:k], &w.params)
 	w.grid = make([]cell, w.side*w.side)
-	for k := -12; k <= 12; k++ {
-		w.powLambda[k+12] = math.Pow(params.Lambda, float64(k))
-		w.powGamma[k+12] = math.Pow(params.Gamma, float64(k))
-	}
+	dE := make([]int8, len(pts)*k)
 	orient := rng.New(params.Seed ^ 0xa5a5a5a5a5a5a5a5)
 	for i, p := range pts {
 		col, _ := cfg.At(p)
@@ -140,6 +159,7 @@ func NewWorld(cfg *psys.Config, params core.Params, radius int) (*World, error) 
 			id:          int32(i),
 			pos:         p,
 			orientation: lattice.Direction(orient.Intn(lattice.NumDirections)),
+			dE:          dE[i*k : (i+1)*k],
 		})
 	}
 	return w, nil
@@ -185,8 +205,8 @@ func (w *World) SetFrozen(id int, frozen bool) {
 // Frozen reports whether a particle is crash-stopped.
 func (w *World) Frozen(id int) bool { return w.parts[id].frozen.Load() }
 
-// Params returns the bias parameters.
-func (w *World) Params() core.Params { return w.params }
+// Energy returns the bound model's Hamiltonian of a quiescent snapshot.
+func (w *World) Energy() float64 { return w.rule.Model().Energy(w.Snapshot(), w.coup) }
 
 // Snapshot returns the current configuration. It briefly excludes all
 // activations, so it always observes a quiescent (serializable) state.

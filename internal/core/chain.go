@@ -120,17 +120,15 @@ type Chain struct {
 	probe     Probe
 	probeBase Stats
 
-	// model is the dynamics the chain runs (model.go). coup is the full
-	// coupling vector in model order; coupNow aliases coup for unscheduled
-	// models and holds the scheduler's effective energy couplings
-	// otherwise. mt is the acceptance table built from coupNow, dE the
-	// reusable exponent scratch, and gather a persistent gather target so
-	// passing its address through the Model interface never allocates per
-	// step.
-	model   Model
+	// rule decides each proposal for the chain's model (rule.go), from
+	// tables built at coupNow. coup is the full coupling vector in model
+	// order; coupNow aliases coup for unscheduled models and holds the
+	// scheduler's effective energy couplings otherwise. dE is the reusable
+	// exponent scratch, and gather a persistent gather target so passing
+	// its address through the Model interface never allocates per step.
+	rule    Rule
 	coup    []float64
 	coupNow []float64
-	mt      modelTables
 	dE      []int8
 	sched   Scheduler
 	nextReb uint64 // absolute step at which effective couplings change next
@@ -154,10 +152,10 @@ func New(cfg *psys.Config, params Params) (*Chain, error) {
 // NewWithModel creates a chain running model m on cfg with the given full
 // coupling vector (nil selects the model's defaults). params supplies the
 // seed and the swap switch; its Lambda/Gamma are normalized from the
-// model's couplings of those names (see bindModel). Scheduled models
+// model's couplings of those names (see BindModel). Scheduled models
 // (Scheduler) rebuild their acceptance tables at stage boundaries.
 func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Chain, error) {
-	m, params, coup, err := bindModel(m, cfg.NumColors(), params, coup)
+	m, params, coup, err := BindModel(m, cfg.NumColors(), params, coup)
 	if err != nil {
 		return nil, err
 	}
@@ -171,12 +169,12 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 		cfg:     cfg,
 		params:  params,
 		rand:    rng.NewBuffered(params.Seed),
-		model:   m,
 		coup:    coup,
 		coupNow: coup,
 		dE:      make([]int8, m.NumExponents()),
 		nextReb: math.MaxUint64,
 	}
+	c.rule = Rule{model: m, params: &c.params}
 	if s, ok := m.(Scheduler); ok {
 		c.sched, c.coupNow = s, append([]float64(nil), coup...)
 	}
@@ -192,18 +190,18 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 // restore or a coupling change, and from Step when the scheduler's
 // announced boundary is reached.
 func (c *Chain) retune() {
-	k := c.model.NumExponents()
+	k := c.rule.model.NumExponents()
 	if c.sched != nil {
 		c.nextReb = c.sched.Effective(c.coup, c.stats.Steps, c.coupNow[:k])
 	}
-	c.mt.rebuild(c.model, c.coupNow[:k])
+	c.rule.mt.rebuild(c.rule.model, c.coupNow[:k])
 }
 
 // Model returns the dynamics the chain runs.
-func (c *Chain) Model() Model { return c.model }
+func (c *Chain) Model() Model { return c.rule.model }
 
 // ModelName returns the registry name of the chain's dynamics.
-func (c *Chain) ModelName() string { return c.model.Name() }
+func (c *Chain) ModelName() string { return c.rule.model.Name() }
 
 // Couplings returns a copy of the chain's full (nominal) coupling vector,
 // in the model's declared order.
@@ -213,7 +211,7 @@ func (c *Chain) Couplings() []float64 { return append([]float64(nil), c.coup...)
 // live configuration, or (nil, nil) for a model that ships none. Values
 // are computed at the effective couplings in force.
 func (c *Chain) Observables() ([]string, []float64) {
-	o, ok := c.model.(Observables)
+	o, ok := c.rule.model.(Observables)
 	if !ok {
 		return nil, nil
 	}
@@ -314,13 +312,13 @@ func (c *Chain) N() int { return len(c.positions) }
 // Step performs one iteration of Markov chain M (Algorithm 1) and reports
 // its outcome. The proposal is evaluated through the table-driven kernel:
 // one GatherPair reads the joint (l, lp) neighborhood from the dense store
-// into packed masks, movement validity is a single probe of the model's
-// table, the model extracts the Metropolis exponents (popcount
-// differences for the paper's dynamics), and those index precomputed
-// integer acceptance thresholds. The kernel consumes the identical random
-// draws and makes the identical decisions as the reference call chain
-// (Degree/Property4/Property5/Float64), which the committed golden
-// trajectories and the psys differential fuzz targets enforce.
+// into packed masks, and the chain's Rule decides it — a validity table
+// probe, the model's Metropolis exponents (popcount differences for the
+// paper's dynamics), and a precomputed integer acceptance threshold. The
+// kernel consumes the identical random draws and makes the identical
+// decisions as the reference call chain (Degree/Property4/Property5/
+// Float64), which the committed golden trajectories and the psys
+// differential fuzz targets enforce.
 //
 // A pending probe batch is published before the step is counted, so every
 // batch holds whole steps. The gather lands in a persistent chain field so
@@ -336,36 +334,19 @@ func (c *Chain) Step() Outcome {
 	l := c.positions[c.rand.Intn(len(c.positions))]
 	dir := lattice.Direction(c.rand.Intn(lattice.NumDirections))
 	c.gather = c.cfg.GatherPair(l, dir)
-	g := &c.gather
-
-	if _, occupied := g.LpColor(); occupied {
-		if o := c.trySwap(l, l.Neighbor(dir), g); o != Rejected {
-			return o
+	switch c.rule.Decide(&c.gather, c.dE, c.rand) {
+	case Moved:
+		c.applyMove(l, l.Neighbor(dir))
+		return Moved
+	case Swapped:
+		if err := c.cfg.ApplySwap(l, l.Neighbor(dir)); err != nil {
+			panic("core: invariant violation applying swap: " + err.Error())
 		}
-		c.stats.Rejected++
-		return Rejected
-	}
-	if o := c.tryMove(l, l.Neighbor(dir), g); o != Rejected {
-		return o
+		c.stats.Swaps++
+		return Swapped
 	}
 	c.stats.Rejected++
 	return Rejected
-}
-
-// tryMove implements steps 3–8 of Algorithm 1: P expands toward the
-// unoccupied node lp and contracts there if the model's movement
-// conditions and the Metropolis filter allow, otherwise contracts back to
-// l.
-func (c *Chain) tryMove(l, lp lattice.Point, g *psys.PairGather) Outcome {
-	if !c.mt.moveOK[g.Dir()][g.Occ()] {
-		return Rejected // conditions (i) e ≠ 5 and (ii) Property 4 or 5
-	}
-	c.model.MoveExponents(g, c.dE)
-	if !c.accept(c.mt.thresh[c.mt.flat(c.dE)]) {
-		return Rejected // condition (iii)
-	}
-	c.applyMove(l, lp)
-	return Moved
 }
 
 // applyMove commits an accepted move, maintaining the particle index and
@@ -383,35 +364,6 @@ func (c *Chain) applyMove(l, lp lattice.Point) {
 		c.reindex()
 	}
 	c.stats.Moves++
-}
-
-// trySwap implements steps 9–10 of Algorithm 1: P at l and Q at lp exchange
-// positions with probability given by the model's swap exponents (for the
-// paper's dynamics, the change in same-color adjacencies). The model may
-// veto the swap outright, consuming no draw. Swaps between same-colored
-// particles are accepted with probability γ^{−2} but have no effect on the
-// configuration; they are counted as Rejected so that Swaps counts
-// configuration-changing events.
-func (c *Chain) trySwap(l, lp lattice.Point, g *psys.PairGather) Outcome {
-	if c.params.DisableSwaps {
-		return Rejected
-	}
-	if !c.model.SwapExponents(g, c.dE) {
-		return Rejected
-	}
-	if !c.accept(c.mt.thresh[c.mt.flat(c.dE)]) {
-		return Rejected
-	}
-	ci, _ := g.LColor()
-	cj, _ := g.LpColor()
-	if ci == cj {
-		return Rejected // accepted but a no-op on the configuration
-	}
-	if err := c.cfg.ApplySwap(l, lp); err != nil {
-		panic("core: invariant violation applying swap: " + err.Error())
-	}
-	c.stats.Swaps++
-	return Swapped
 }
 
 // ReplaceConfig swaps the chain's configuration for cfg — which must be

@@ -291,8 +291,8 @@ func TestEnergyDecreasesOnAverage(t *testing.T) {
 	if e1 >= e0-10 {
 		t.Fatalf("energy did not drop: %v -> %v", e0, e1)
 	}
-	// Energy is consistent with the standalone function.
-	if got := Energy(ch.Config(), params); got != e1 {
+	// Energy is consistent with the separation model's Hamiltonian.
+	if got := Separation.Energy(ch.Config(), []float64{params.Lambda, params.Gamma}); got != e1 {
 		t.Fatalf("Energy mismatch: %v vs %v", got, e1)
 	}
 }
@@ -302,7 +302,7 @@ func TestEnergyGibbsConsistency(t *testing.T) {
 	cfg := mustInitial(t, LayoutSpiral, []int{5, 5}, 2)
 	params := Params{Lambda: 3, Gamma: 2}
 	w := math.Pow(params.Lambda, float64(cfg.Edges())) * math.Pow(params.Gamma, float64(cfg.HomEdges()))
-	if got := math.Exp(-Energy(cfg, params)); math.Abs(got-w)/w > 1e-9 {
+	if got := math.Exp(-Separation.Energy(cfg, []float64{params.Lambda, params.Gamma})); math.Abs(got-w)/w > 1e-9 {
 		t.Fatalf("exp(-E) = %v, λ^e γ^a = %v", got, w)
 	}
 }
@@ -453,6 +453,26 @@ func TestSetParamsAnnealing(t *testing.T) {
 	}
 	if err := ch.SetParams(Params{Lambda: 0, Gamma: 1}); err == nil {
 		t.Fatal("invalid params accepted by SetParams")
+	}
+}
+
+// TestSetParamsFlipsSwaps: the chain's rule reads the live swap switch,
+// so SetParams turning swaps off stops them from the next step on, and
+// turning them back on resumes them.
+func TestSetParamsFlipsSwaps(t *testing.T) {
+	ch, err := New(mustInitial(t, LayoutSpiral, []int{20, 20}, 4), Params{Lambda: 4, Gamma: 4, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []bool{false, true, false} {
+		if err := ch.SetParams(Params{Lambda: 4, Gamma: 4, DisableSwaps: off}); err != nil {
+			t.Fatal(err)
+		}
+		before := ch.Stats().Swaps
+		ch.Run(100000)
+		if swapped := ch.Stats().Swaps > before; swapped == off {
+			t.Fatalf("DisableSwaps=%v: swaps %d → %d", off, before, ch.Stats().Swaps)
+		}
 	}
 }
 

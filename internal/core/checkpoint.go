@@ -50,8 +50,8 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		Config: c.Snapshot(),
 		Order:  order,
 	}
-	if c.model != Separation {
-		cp.Model = c.model.Name()
+	if c.rule.model != Separation {
+		cp.Model = c.rule.model.Name()
 		cp.Couplings = c.Couplings()
 	}
 	return cp, nil
@@ -133,8 +133,8 @@ func Resume(cp *Checkpoint) (*Chain, error) {
 // escape the metastability visible in long simulation runs. The stationary
 // characterization of Lemma 9 applies only while parameters are held fixed.
 func (c *Chain) SetParams(params Params) error {
-	if c.model != Separation {
-		return fmt.Errorf("core: SetParams applies only to the separation model (chain runs %q); use SetCouplings", c.model.Name())
+	if c.rule.model != Separation {
+		return fmt.Errorf("core: SetParams applies only to the separation model (chain runs %q); use SetCouplings", c.rule.model.Name())
 	}
 	if err := params.Validate(); err != nil {
 		return err
@@ -150,11 +150,11 @@ func (c *Chain) SetParams(params Params) error {
 // acceptance tables — SetParams generalized to any model. For scheduled
 // models the new nominal couplings take effect through the schedule.
 func (c *Chain) SetCouplings(coup []float64) error {
-	if err := ValidateCouplings(c.model, coup); err != nil {
+	if err := ValidateCouplings(c.rule.model, coup); err != nil {
 		return err
 	}
 	copy(c.coup, coup)
-	c.params.Lambda, c.params.Gamma = lambdaGamma(c.model, c.coup)
+	c.params.Lambda, c.params.Gamma = lambdaGamma(c.rule.model, c.coup)
 	c.retune()
 	return nil
 }

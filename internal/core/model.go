@@ -241,13 +241,13 @@ func CouplingIndex(m Model, name string) int {
 	return -1
 }
 
-// bindModel is the construction step the serial chain and the sharded
-// executor share. It binds m to the configuration's color count (nil
-// selects Separation), copies coup or takes the model's defaults, sets
-// params.Lambda/Gamma from the couplings of those names so surfaces
-// reading Params stay meaningful, and validates both — params first, so a
-// bad λ or γ is reported in Params' own terms.
-func bindModel(m Model, numColors int, params Params, coup []float64) (Model, Params, []float64, error) {
+// BindModel is the construction step every executor shares. It binds m
+// to the configuration's color count (nil selects Separation), copies
+// coup or takes the model's defaults, sets params.Lambda/Gamma from the
+// couplings of those names so surfaces reading Params stay meaningful, and
+// validates both — params first, so a bad λ or γ is reported in Params'
+// own terms.
+func BindModel(m Model, numColors int, params Params, coup []float64) (Model, Params, []float64, error) {
 	if m == nil {
 		m = Separation
 	}
@@ -284,9 +284,8 @@ func lambdaGamma(m Model, coup []float64) (lambda, gamma float64) {
 
 // modelTables holds a model's per-direction validity tables and a flat
 // integer acceptance-threshold table over its full exponent-vector space,
-// rebuilt at init (and at schedule boundaries). The serial chain embeds
-// one; the sharded executor shares a single rebuilt copy across its
-// read-only workers.
+// rebuilt at init (and at schedule boundaries). Each Rule holds one, which
+// concurrent executors share read-only.
 type modelTables struct {
 	// moveOK[d][m] caches model.Valid(d, m).
 	moveOK [lattice.NumDirections][1 << 8]bool

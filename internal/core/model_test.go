@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sops/internal/lattice"
+	"sops/internal/psys"
+	"sops/internal/rng"
 )
 
 // TestModelRegistry pins the registry contract: the built-in models are
@@ -138,6 +141,96 @@ func FuzzModelTables(f *testing.F) {
 		mt.rebuild(Separation, eff)
 		checkModelTables(t, &mt, Separation, eff)
 	})
+}
+
+// TestRotationCovariance pins the premise of the amoebot agent program,
+// which gathers in its private port frame and decides at its private
+// direction: rotating a local configuration together with the proposal
+// direction must leave the model's validity, move exponents and swap
+// exponents unchanged. It covers every registered model, with alignment
+// bound at k = 2 and k = 3, over random colored configurations of the 19
+// cells within distance 2 of l, every direction and rotations 1–5.
+func TestRotationCovariance(t *testing.T) {
+	// One rotation step maps each directions[d] to directions[d+1]; the
+	// map is linear, so the images of the axial unit vectors fix it.
+	var eq, er lattice.Point
+	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+		switch d.Offset() {
+		case lattice.Point{Q: 1}:
+			eq = d.Next().Offset()
+		case lattice.Point{R: 1}:
+			er = d.Next().Offset()
+		}
+	}
+	rotate := func(p lattice.Point, k int) lattice.Point {
+		for ; k > 0; k-- {
+			p = lattice.Point{Q: p.Q*eq.Q + p.R*er.Q, R: p.Q*eq.R + p.R*er.R}
+		}
+		return p
+	}
+	type bound struct {
+		m      Model
+		colors int
+	}
+	var cases []bound
+	for _, name := range ModelNames() {
+		m, err := LookupModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := m.(Binder); ok {
+			cases = append(cases, bound{b.Bind(2), 2}, bound{b.Bind(3), 3})
+		} else {
+			cases = append(cases, bound{m, 3})
+		}
+	}
+	origin := lattice.Point{}
+	cells := append([]lattice.Point{origin}, lattice.Ring(origin, 1)...)
+	cells = append(cells, lattice.Ring(origin, 2)...)
+	r := rng.New(41)
+	checked := 0
+	for _, tc := range cases {
+		k := tc.m.NumExponents()
+		dE, dER := make([]int8, k), make([]int8, k)
+		for trial := 0; trial < 300; trial++ {
+			occ := map[lattice.Point]psys.Color{}
+			for i, p := range cells {
+				if i == 0 || r.Intn(2) == 0 {
+					occ[p] = psys.Color(r.Intn(tc.colors))
+				}
+			}
+			for rot := 1; rot < lattice.NumDirections; rot++ {
+				// The rotated configuration holds cell p's color at
+				// rotate(p, rot), so it reads q from rotate(q, 6−rot).
+				at := func(q lattice.Point) (psys.Color, bool) { c, ok := occ[q]; return c, ok }
+				atRot := func(q lattice.Point) (psys.Color, bool) {
+					return at(rotate(q, lattice.NumDirections-rot))
+				}
+				for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+					dr := (d + lattice.Direction(rot)) % lattice.NumDirections
+					g := psys.GatherPairFrom(at, origin, d)
+					gr := psys.GatherPairFrom(atRot, origin, dr)
+					checked++
+					if _, occupied := g.LpColor(); occupied {
+						ok, okR := tc.m.SwapExponents(&g, dE), tc.m.SwapExponents(&gr, dER)
+						if ok != okR || !slices.Equal(dE, dER) {
+							t.Fatalf("%s k=%d rot %d dir %v: swap %v %v, rotated %v %v", tc.m.Name(), tc.colors, rot, d, ok, dE, okR, dER)
+						}
+						continue
+					}
+					if v, vR := tc.m.Valid(d, g.Occ()), tc.m.Valid(dr, gr.Occ()); v != vR {
+						t.Fatalf("%s k=%d rot %d dir %v: valid %v, rotated %v", tc.m.Name(), tc.colors, rot, d, v, vR)
+					}
+					tc.m.MoveExponents(&g, dE)
+					tc.m.MoveExponents(&gr, dER)
+					if !slices.Equal(dE, dER) {
+						t.Fatalf("%s k=%d rot %d dir %v: move %v, rotated %v", tc.m.Name(), tc.colors, rot, d, dE, dER)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d rotated gathers agree", checked)
 }
 
 // chainFingerprint summarizes a chain's complete dynamical state for

@@ -73,16 +73,15 @@ type Sharded struct {
 
 	locks [numStripes]sync.Mutex
 
-	// Dynamics state, mirroring Chain: every worker runs the model against
-	// the shared read-only mt tables. For scheduled models Run clamps
-	// epoch budgets at schedule boundaries and rebuilds mt between epochs
+	// Dynamics state, mirroring Chain: every worker decides through the
+	// shared read-only rule. For scheduled models Run clamps epoch budgets
+	// at schedule boundaries and rebuilds the rule's tables between epochs
 	// — workers never observe a table change mid-epoch.
 	// stepOff is the absolute step count of the run this executor
 	// continues (ShardedOptions.StepOffset), so schedules resume exactly.
-	model   Model
+	rule    Rule
 	coup    []float64
 	coupNow []float64
-	mt      modelTables
 	sched   Scheduler
 	nextReb uint64
 	stepOff uint64
@@ -168,7 +167,7 @@ func NewSharded(cfg *psys.Config, params Params, opts ShardedOptions) (*Sharded,
 // NewShardedWithModel builds a sharded executor over a copy of cfg
 // running model m with the given full coupling vector (nil selects the
 // model's defaults). Every worker makes its decisions through the same
-// shared, read-only acceptance tables, rebuilt from the model at init
+// shared, read-only rule, whose tables are rebuilt from the model at init
 // (and, for scheduled models, between epochs at stage boundaries).
 func NewShardedWithModel(cfg *psys.Config, params Params, m Model, coup []float64, opts ShardedOptions) (*Sharded, error) {
 	if cfg.N() == 0 {
@@ -177,31 +176,14 @@ func NewShardedWithModel(cfg *psys.Config, params Params, m Model, coup []float6
 	if !cfg.Connected() {
 		return nil, ErrDisconnected
 	}
-	return newSharded(psys.NewTileStoreFrom(cfg), cfg.Points(), params, m, coup, opts)
-}
-
-// NewShardedFromStore builds a sharded executor that takes ownership of
-// store, which must hold a nonempty connected configuration, running the
-// separation dynamics. It is the entry point for configurations too
-// stringy to densify.
-func NewShardedFromStore(store *psys.TileStore, params Params, opts ShardedOptions) (*Sharded, error) {
-	if store.N() == 0 {
-		return nil, ErrEmptyConfig
-	}
-	if !store.Connected() {
-		return nil, ErrDisconnected
-	}
-	return newSharded(store, store.Points(), params, Separation, []float64{params.Lambda, params.Gamma}, opts)
-}
-
-func newSharded(store *psys.TileStore, positions []lattice.Point, params Params, m Model, coup []float64, opts ShardedOptions) (*Sharded, error) {
-	m, params, coup, err := bindModel(m, store.NumColors(), params, coup)
+	m, params, coup, err := BindModel(m, cfg.NumColors(), params, coup)
 	if err != nil {
 		return nil, err
 	}
+	positions := cfg.Points()
 	opts.Workers = max(opts.Workers, 1)
 	s := &Sharded{
-		store:     store,
+		store:     psys.NewTileStoreFrom(cfg),
 		params:    params,
 		workers:   opts.Workers,
 		opts:      opts,
@@ -209,12 +191,12 @@ func newSharded(store *psys.TileStore, positions []lattice.Point, params Params,
 		scratch:   make([]lattice.Point, len(positions)),
 		rngs:      make([]*rng.Buffered, opts.Workers),
 		wlogs:     make([][]MoveRecord, opts.Workers),
-		model:     m,
 		coup:      coup,
 		coupNow:   coup,
 		stepOff:   opts.StepOffset,
 		nextReb:   math.MaxUint64,
 	}
+	s.rule = Rule{model: m, params: &s.params}
 	if sched, ok := m.(Scheduler); ok {
 		s.sched, s.coupNow = sched, append([]float64(nil), coup...)
 	}
@@ -230,15 +212,15 @@ func newSharded(store *psys.TileStore, positions []lattice.Point, params Params,
 // Called only between epochs (or at construction), never while workers
 // run.
 func (s *Sharded) retune(abs uint64) {
-	k := s.model.NumExponents()
+	k := s.rule.model.NumExponents()
 	if s.sched != nil {
 		s.nextReb = s.sched.Effective(s.coup, abs, s.coupNow[:k])
 	}
-	s.mt.rebuild(s.model, s.coupNow[:k])
+	s.rule.mt.rebuild(s.rule.model, s.coupNow[:k])
 }
 
 // Model returns the dynamics the executor runs.
-func (s *Sharded) Model() Model { return s.model }
+func (s *Sharded) Model() Model { return s.rule.model }
 
 // Params returns the executor's bias parameters.
 func (s *Sharded) Params() Params { return s.params }
@@ -497,12 +479,10 @@ func (s *Sharded) unlockRegion(stripes *[10]int, k int) {
 
 // runWorkerModel performs up to budget proposals for one band. parts is
 // the worker's owned particle segment (updated in place as moves are
-// accepted), [lo, hi) its row range. Validity is probed from the shared
-// model-built tables and exponents are extracted through the Model
-// interface into a per-worker scratch vector; the tables are read-only for
-// the whole epoch, and models are required to be safe for concurrent use.
-// Swaps mirror Chain.trySwap: accepted same-color swaps are no-ops counted
-// as rejected.
+// accepted), [lo, hi) its row range. Each proposal is decided by the
+// shared rule, with a per-worker exponent scratch vector; the rule's
+// tables are read-only for the whole epoch, and models are required to be
+// safe for concurrent use.
 func (s *Sharded) runWorkerModel(w int, parts []lattice.Point, lo, hi int, budget uint64, escape *atomic.Bool, res *workerResult) {
 	r := s.rngs[w]
 	single := s.workers == 1
@@ -512,8 +492,7 @@ func (s *Sharded) runWorkerModel(w int, parts []lattice.Point, lo, hi int, budge
 	var flushed Stats
 	var stripes [10]int
 	wlog := s.wlogs[w]
-	m := s.model
-	dE := make([]int8, m.NumExponents())
+	dE := make([]int8, s.rule.model.NumExponents())
 	var g psys.PairGather
 
 	sink := s.probe
@@ -531,67 +510,42 @@ func (s *Sharded) runWorkerModel(w int, parts []lattice.Point, lo, hi int, budge
 		idx := r.Intn(len(parts))
 		l := parts[idx]
 		dir := lattice.Direction(r.Intn(lattice.NumDirections))
+		lp := l.Neighbor(dir)
 
 		locked := 0
 		if !single && (l.R < lockFreeLo || l.R >= lockFreeHi) {
 			locked = s.lockRegion(l, dir, &stripes)
 		}
 		g = s.store.GatherPair(l, dir)
-
-		if _, occupied := g.LpColor(); occupied {
-			accepted := false
-			if !s.params.DisableSwaps && m.SwapExponents(&g, dE) &&
-				acceptDraw(r, s.mt.thresh[s.mt.flat(dE)]) {
-				ci, _ := g.LColor()
-				cj, _ := g.LpColor()
-				if ci != cj {
-					lp := l.Neighbor(dir)
-					if err := s.store.ApplySwap(l, lp); err != nil {
-						panic("core: invariant violation applying sharded swap: " + err.Error())
-					}
-					if record {
-						wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpSwap, L: l, Lp: lp})
-					}
-					st.Swaps++
-					accepted = true
-				}
+		o := s.rule.Decide(&g, dE, r)
+		switch o {
+		case Moved:
+			if err := s.store.ApplyMove(l, lp); err != nil {
+				panic("core: invariant violation applying sharded move: " + err.Error())
 			}
-			if !accepted {
-				st.Rejected++
+			parts[idx] = lp
+			st.Moves++
+		case Swapped:
+			if err := s.store.ApplySwap(l, lp); err != nil {
+				panic("core: invariant violation applying sharded swap: " + err.Error())
 			}
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
-			}
-		} else if s.mt.moveOK[g.Dir()][g.Occ()] {
-			m.MoveExponents(&g, dE)
-			if acceptDraw(r, s.mt.thresh[s.mt.flat(dE)]) {
-				lp := l.Neighbor(dir)
-				if err := s.store.ApplyMove(l, lp); err != nil {
-					panic("core: invariant violation applying sharded move: " + err.Error())
-				}
-				if record {
-					wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: OpMove, L: l, Lp: lp})
-				}
-				parts[idx] = lp
-				st.Moves++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-				if lp.R < lo-bandCollar || lp.R >= hi+bandCollar {
-					escape.Store(true)
-					break
-				}
-			} else {
-				st.Rejected++
-				if locked > 0 {
-					s.unlockRegion(&stripes, locked)
-				}
-			}
-		} else {
+			st.Swaps++
+		default:
 			st.Rejected++
-			if locked > 0 {
-				s.unlockRegion(&stripes, locked)
+		}
+		if record && o != Rejected {
+			kind := OpMove
+			if o == Swapped {
+				kind = OpSwap
 			}
+			wlog = append(wlog, MoveRecord{Ticket: s.ticket.Add(1), Worker: w, Kind: kind, L: l, Lp: lp})
+		}
+		if locked > 0 {
+			s.unlockRegion(&stripes, locked)
+		}
+		if o == Moved && (lp.R < lo-bandCollar || lp.R >= hi+bandCollar) {
+			escape.Store(true)
+			break
 		}
 
 		if st.Steps-flushed.Steps >= shardProbeBatch {

@@ -50,7 +50,3 @@ func acceptDraw(r *rng.Buffered, thresh uint64) bool {
 	}
 	return r.Uint64()>>11 < thresh
 }
-
-// accept runs a Metropolis filter against a precomputed threshold on the
-// chain's own random stream.
-func (c *Chain) accept(thresh uint64) bool { return acceptDraw(c.rand, thresh) }

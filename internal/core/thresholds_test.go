@@ -61,9 +61,10 @@ func TestAcceptThresholdEquivalence(t *testing.T) {
 }
 
 // TestAcceptConsumesDrawExactlyWhenSeedDid pins the stream contract of
-// Chain.accept: the sentinel threshold consumes no randomness, any other
-// threshold consumes exactly one Uint64 — matching the seed's
-// `prob < 1 && rand.Float64() >= prob` short-circuit.
+// acceptDraw, through which every Rule decides: the sentinel threshold
+// consumes no randomness, any other threshold consumes exactly one Uint64
+// — matching the seed's `prob < 1 && rand.Float64() >= prob`
+// short-circuit.
 func TestAcceptConsumesDrawExactlyWhenSeedDid(t *testing.T) {
 	cfg, err := Initial(LayoutLine, []int{2, 2}, 1)
 	if err != nil {
@@ -74,14 +75,14 @@ func TestAcceptConsumesDrawExactlyWhenSeedDid(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := ch.rand.MarshalText()
-	if !ch.accept(probScale) {
+	if !acceptDraw(ch.rand, probScale) {
 		t.Fatal("sentinel threshold must accept")
 	}
 	after, _ := ch.rand.MarshalText()
 	if string(before) != string(after) {
 		t.Fatal("sentinel threshold consumed a random draw")
 	}
-	ch.accept(probScale / 2)
+	acceptDraw(ch.rand, probScale/2)
 	after2, _ := ch.rand.MarshalText()
 	if string(after) == string(after2) {
 		t.Fatal("sub-unit threshold consumed no random draw")

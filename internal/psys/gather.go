@@ -154,11 +154,11 @@ func (c *Config) rebuildPairOffsets() {
 // in one pass. For fully dense configurations with l at depth ≥ 2 in the
 // storage window — every step of a warmed-up chain — the 10 cells (ring,
 // l, lp) are 10 flat array loads at precomputed offsets; otherwise it
-// falls back to the general per-point read path, producing the identical
-// packed view.
+// falls back to GatherPairFrom over the general per-point read path,
+// producing the identical packed view.
 func (c *Config) GatherPair(l lattice.Point, dir lattice.Direction) PairGather {
-	g := PairGather{dir: dir}
 	if c.overflow == nil && c.win.Interior2(l) {
+		g := PairGather{dir: dir}
 		base := c.win.Index(l)
 		off := &c.pairOff[dir]
 		var ring uint64
@@ -174,20 +174,27 @@ func (c *Config) GatherPair(l lattice.Point, dir lattice.Direction) PairGather {
 		g.ends = uint16(c.cells[base]) | uint16(c.cells[base+int(c.pairNb[dir])])<<8
 		return g
 	}
-	t := &pairTables[dir]
-	var ring uint64
-	var occ uint8
-	for k, d := range t.pts {
-		if col, ok := c.colorAt(l.Add(d)); ok {
-			ring |= uint64(col+1) << (8 * k)
-			occ |= 1 << k
+	return GatherPairFrom(c.colorAt, l, dir)
+}
+
+// GatherPairFrom packs the joint neighborhood of l and lp = l.Neighbor(dir)
+// from any cell reader: at reports the color of an occupied cell, or false
+// for a vacant one. It is Config.GatherPair's general path, and the amoebot
+// runtime reads its locked arena region and its agent program's private
+// port frame through it, so every executor hands the model the same
+// packed view.
+func GatherPairFrom(at func(lattice.Point) (Color, bool), l lattice.Point, dir lattice.Direction) PairGather {
+	g := PairGather{dir: dir}
+	for k, d := range pairTables[dir].pts {
+		if col, ok := at(l.Add(d)); ok {
+			g.ring |= uint64(col+1) << (8 * k)
+			g.occ |= 1 << k
 		}
 	}
-	g.ring, g.occ = ring, occ
-	if col, ok := c.colorAt(l); ok {
+	if col, ok := at(l); ok {
 		g.ends = uint16(col) + 1
 	}
-	if col, ok := c.colorAt(l.Neighbor(dir)); ok {
+	if col, ok := at(l.Neighbor(dir)); ok {
 		g.ends |= (uint16(col) + 1) << 8
 	}
 	return g

@@ -179,6 +179,44 @@ func TestNewDistributedValidation(t *testing.T) {
 	}
 }
 
+// TestNewDistributedBindsModel: NewDistributed binds Options.Model and
+// Couplings as New does. Its Energy is the bound model's energy of the
+// snapshot, an unset λ takes the model's default, and a model with a
+// schedule is rejected by name.
+func TestNewDistributedBindsModel(t *testing.T) {
+	opts := Options{Counts: []int{10, 10, 10}, Lambda: 4, Gamma: 4, Seed: 3,
+		Model: "alignment", Couplings: map[string]float64{"alpha": 6, "beta": 1.5}}
+	d, err := NewDistributed(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := d.RunContext(context.Background(), 50000, 2); err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Snapshot()
+	sys, err := NewFromConfig(snap.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Energy(), sys.Energy(); got != want {
+		t.Fatalf("Energy %v, alignment energy of the snapshot %v", got, want)
+	}
+	sep, err := NewFromConfig(snap.Clone(), Options{Lambda: 4, Gamma: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Energy() == sep.Energy() {
+		t.Fatal("Energy is the separation energy")
+	}
+	if _, err := NewDistributed(Options{Counts: []int{10, 10, 10}, Model: "alignment"}); err != nil {
+		t.Fatalf("alignment without lambda: %v", err)
+	}
+	_, err = NewDistributed(Options{Counts: []int{10, 10}, Lambda: 4, Gamma: 4, Model: "anneal"})
+	if err == nil || !strings.Contains(err.Error(), "anneal") {
+		t.Fatalf("anneal: %v, want an error naming anneal", err)
+	}
+}
+
 func TestDistributedFreeze(t *testing.T) {
 	d, err := NewDistributed(Options{Counts: []int{8, 8}, Lambda: 4, Gamma: 4, Seed: 9})
 	if err != nil {
