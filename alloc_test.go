@@ -4,6 +4,7 @@ package sops_test
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"sops"
@@ -75,5 +76,27 @@ func TestSystemMetricsAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("System.Metrics allocates %v times per run at steady state", avg)
+	}
+}
+
+// TestSystemWriteCheckpointAllocs: once its scratch is warm (AllocsPerRun's
+// warm-up call), the snapbin checkpoint encoder writes a whole n = 1,000
+// configuration without touching the heap.
+func TestSystemWriteCheckpointAllocs(t *testing.T) {
+	sys, err := sops.New(sops.Options{
+		Counts: sops.Bichromatic(1_000),
+		Lambda: 4, Gamma: 4,
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.RunSteps(100_000)
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := sys.WriteCheckpointTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("System.WriteCheckpointTo allocates %v times per checkpoint at steady state", avg)
 	}
 }

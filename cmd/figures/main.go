@@ -156,7 +156,11 @@ func figure2(outDir string, scale, seed uint64) error {
 func figure3(ctx context.Context, outDir string, scale, seed uint64, workers int) error {
 	fmt.Println("figure 3: phase diagram...")
 	ls, gs := experiments.DefaultPhaseGrid()
-	cells, err := experiments.Figure3Context(ctx, 100, ls, gs, 50_000_000/scale, seed, workers)
+	cells, err := sops.Sweep(ctx, sops.SweepSpec{
+		Lambdas: ls, Gammas: gs,
+		Counts: sops.Bichromatic(100), Layout: sops.LayoutLine,
+		Steps: 50_000_000 / scale, Seed: seed, Workers: workers,
+	})
 	if err != nil {
 		return err
 	}

@@ -5,16 +5,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"sops/internal/experiments"
+	"sops"
 )
 
 func main() {
-	lambdas := []float64{1.05, 4}
-	gammas := []float64{1, 6}
-	cells, err := experiments.Figure3(60, lambdas, gammas, 2_000_000, 5)
+	cells, err := sops.Sweep(context.Background(), sops.SweepSpec{
+		Lambdas: []float64{1.05, 4}, Gammas: []float64{1, 6},
+		Counts: sops.Bichromatic(60), Layout: sops.LayoutLine,
+		Steps: 2_000_000, Seed: 5,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,22 +7,22 @@ import (
 	"sops/internal/psys"
 )
 
-// alignmentModel is the orientation-coupled chain of Kedia–Oh–Randall
-// (arXiv:2207.07956) on our substrate: the k color classes are read as k
-// discrete orientations on ℤ_k, and the Hamiltonian rewards aligned
-// (equal-orientation) and near-aligned (±1 mod k) adjacencies separately,
+// alignmentModel is fixed-census alignment: the k color classes are read as
+// k orientations on ℤ_k, and the Hamiltonian rewards aligned (equal) and
+// near-aligned (±1 mod k) adjacencies separately,
 //
 //	E(σ) = −e(σ)·ln λ − a(σ)·ln α − m(σ)·ln β,
 //
-// with e the edge count, a the aligned adjacencies and m the near-aligned
-// adjacencies. α > β > 1 produces ferromagnetic alignment domains with
-// soft boundaries; β near 1 recovers a Potts-like separation. Movement
-// validity keeps the paper's locality predicate (Degree ≠ 5 ∧ Property 4
-// ∨ 5), so configurations stay connected and hole-free and the sharded
-// executor's serializability audit applies unchanged.
-//
-// The model binds to the configuration's color count at construction
-// (Binder), fixing the orientation modulus k.
+// with e the edges, a the aligned and m the near-aligned adjacencies.
+// α > β > 1 forms alignment domains with soft boundaries. The kernel only
+// moves and swaps particles, so none turns: the orientation census is fixed
+// at construction, the model samples a fixed-census clock/Potts measure, and
+// its order observable cannot move. The orientation-coupled chain of
+// Kedia–Oh–Randall (arXiv:2207.07956) needs a recolour proposal too
+// (ROADMAP.md). Validity is the paper's (Degree ≠ 5 ∧ Property 4 ∨ 5), so
+// configurations stay connected and hole-free. The model binds to the
+// configuration's color count at construction (Binder), fixing the
+// orientation modulus k.
 type alignmentModel struct {
 	k int // orientation modulus; 0 before Bind
 }
@@ -154,8 +154,8 @@ func (alignmentModel) ObservableNames() []string {
 
 // Observe exports the alignment order parameters: the aligned and
 // near-aligned edge fractions, and the magnitude of the mean orientation
-// phasor |Σ_c n_c·e^{2πic/k}|/n — 1 when every particle shares one
-// orientation, ~0 in the disordered phase.
+// phasor |Σ_c n_c·e^{2πic/k}|/n. The phasor depends only on the census, so
+// it keeps its initial value for the whole run (see the type comment).
 func (m alignmentModel) Observe(v ConfigView, coup []float64, out []float64) {
 	out[0], out[1] = 0, 0
 	if e := v.Edges(); e > 0 {

@@ -7,20 +7,34 @@ import (
 // TestChainStepAllocs: at steady state — chain burned in, storage window and
 // position index warmed — Chain.Step performs zero heap allocations,
 // whatever the proposal outcome. This is the tentpole property of the dense
-// occupancy store: the hot path is array loads only.
+// occupancy store: the hot path is array loads only. The cases are the
+// set-ups of the root chain-step benchmarks.
 func TestChainStepAllocs(t *testing.T) {
-	cfg, err := Initial(LayoutLine, []int{50, 50}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := New(cfg, Params{Lambda: 4, Gamma: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch.Run(200_000) // burn in: compress and settle the window
-	if avg := testing.AllocsPerRun(5000, func() {
-		ch.Step()
-	}); avg != 0 {
-		t.Fatalf("Chain.Step allocates %v times per step at steady state", avg)
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+		n      int
+		gamma  float64
+	}{
+		{"ChainStep", LayoutLine, 100, 4},
+		{"ChainStepN1000", LayoutSpiral, 1000, 4},
+		{"ChainStepSwapPath", LayoutSpiral, 100, 1.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := Initial(tc.layout, Bichromatic(tc.n), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := New(cfg, Params{Lambda: 4, Gamma: tc.gamma, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch.Run(200_000) // burn in: compress and settle the window
+			if avg := testing.AllocsPerRun(5000, func() {
+				ch.Step()
+			}); avg != 0 {
+				t.Fatalf("Chain.Step allocates %v times per step at steady state", avg)
+			}
+		})
 	}
 }

@@ -65,65 +65,12 @@ func Figure2(n int, lambda, gamma float64, checkpoints []uint64, seed uint64) ([
 	return out, nil
 }
 
-// PhaseCell is one cell of the Figure 3 phase diagram.
-type PhaseCell struct {
-	Lambda, Gamma float64
-	Snap          metrics.Snapshot
-}
-
 // DefaultPhaseGrid returns (λ, γ) values spanning the four phases of
 // Figure 3, including the paper's showcase point λ = γ = 4. Expanded
 // phases require a small perimeter bias λγ (the stationary weight is
 // (λγ)^{−p}·γ^{−h}), so expanded-separated appears at λ < 1 with γ large.
 func DefaultPhaseGrid() (lambdas, gammas []float64) {
 	return []float64{0.25, 1.05, 4, 6}, []float64{1, 1.05, 4, 6}
-}
-
-// Figure3 reproduces the paper's Figure 3: from one fixed initial
-// configuration, run M for iters iterations at every (λ, γ) grid point and
-// classify the resulting configuration into one of the four phases. Cells
-// are computed in parallel across GOMAXPROCS workers; the output is
-// identical to a serial sweep.
-func Figure3(n int, lambdas, gammas []float64, iters uint64, seed uint64) ([]PhaseCell, error) {
-	return Figure3Context(context.Background(), n, lambdas, gammas, iters, seed, 0)
-}
-
-// Figure3Context is Figure3 on the parallel sweep engine: grid cells are
-// sharded across workers (values <= 0 use GOMAXPROCS) and the sweep stops
-// promptly when ctx is cancelled. Every cell runs its own chain seeded
-// with seed, so the result slice is byte-identical at any worker count.
-func Figure3Context(ctx context.Context, n int, lambdas, gammas []float64, iters uint64, seed uint64, workers int) ([]PhaseCell, error) {
-	th := metrics.DefaultThresholds()
-	type gridPoint struct{ lambda, gamma float64 }
-	cells := make([]gridPoint, 0, len(lambdas)*len(gammas))
-	for _, lambda := range lambdas {
-		for _, gamma := range gammas {
-			cells = append(cells, gridPoint{lambda, gamma})
-		}
-	}
-	results, err := runner.Sweep(ctx, cells, runner.Options{Workers: workers, Seed: seed},
-		func(ctx context.Context, c gridPoint, _ uint64) (metrics.Snapshot, error) {
-			cfg, err := core.Initial(core.LayoutLine, core.Bichromatic(n), seed)
-			if err != nil {
-				return metrics.Snapshot{}, err
-			}
-			ch, err := core.New(cfg, core.Params{Lambda: c.lambda, Gamma: c.gamma, Seed: seed})
-			if err != nil {
-				return metrics.Snapshot{}, err
-			}
-			if _, err := ch.RunContext(ctx, iters); err != nil {
-				return metrics.Snapshot{}, err
-			}
-			return metrics.Capture(ch.Config(), iters, th), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PhaseCell, len(results))
-	for i, r := range results {
-		out[i] = PhaseCell{Lambda: cells[i].lambda, Gamma: cells[i].gamma, Snap: r.Value}
-	}
-	return out, nil
 }
 
 // AblationResult reports the swap-move ablation (§3.2): iterations needed

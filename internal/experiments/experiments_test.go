@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
-
-	"sops/internal/metrics"
 )
 
 func TestFigure2SmallScale(t *testing.T) {
@@ -39,30 +36,6 @@ func TestFigure2SmallScale(t *testing.T) {
 func TestFigure2RejectsDecreasingCheckpoints(t *testing.T) {
 	if _, err := Figure2(10, 4, 4, []uint64{100, 50}, 1); err == nil {
 		t.Fatal("decreasing checkpoints accepted")
-	}
-}
-
-func TestFigure3SmallGridPhases(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long run")
-	}
-	// Two extreme corners reproduce the two compressed phases quickly.
-	cells, err := Figure3(50, []float64{4}, []float64{1, 5}, 1_500_000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("%d cells", len(cells))
-	}
-	byGamma := map[float64]metrics.Phase{}
-	for _, c := range cells {
-		byGamma[c.Gamma] = c.Snap.Phase
-	}
-	if byGamma[5] != metrics.CompressedSeparated {
-		t.Fatalf("γ=5 phase %v", byGamma[5])
-	}
-	if byGamma[1] != metrics.CompressedIntegrated {
-		t.Fatalf("γ=1 phase %v", byGamma[1])
 	}
 }
 
@@ -243,39 +216,6 @@ func TestReplicatedPropagatesError(t *testing.T) {
 }
 
 var errTest = fmt.Errorf("test error")
-
-func TestFigure3ContextMatchesAnyWorkerCount(t *testing.T) {
-	ls, gs := []float64{1.05, 4}, []float64{1, 4}
-	var base []PhaseCell
-	for _, workers := range []int{1, 4} {
-		cells, err := Figure3Context(context.Background(), 30, ls, gs, 50_000, 2, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cells) != 4 {
-			t.Fatalf("%d cells", len(cells))
-		}
-		if base == nil {
-			base = cells
-			continue
-		}
-		if !reflect.DeepEqual(cells, base) {
-			t.Fatalf("workers=%d diverges from workers=1", workers)
-		}
-	}
-	// Grid order: λ-major, γ-minor, as documented.
-	if base[0].Lambda != 1.05 || base[0].Gamma != 1 || base[1].Gamma != 4 || base[2].Lambda != 4 {
-		t.Fatalf("cell order %+v", base)
-	}
-}
-
-func TestFigure3ContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Figure3Context(ctx, 30, []float64{4}, []float64{4}, 1_000_000, 1, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v", err)
-	}
-}
 
 func TestReplicatedContextMatchesReplicated(t *testing.T) {
 	fn := func(seed uint64) (FrequencyResult, error) {

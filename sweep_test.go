@@ -72,6 +72,39 @@ func TestSweepMatchesSerialSystem(t *testing.T) {
 	}
 }
 
+// TestSweepFigure3SmallGridPhases: Figure 3's separation grid is a sweep
+// from the line start with one seed in every cell.
+func TestSweepFigure3SmallGridPhases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long run")
+	}
+	// Two extreme corners reproduce the two compressed phases quickly.
+	cells, err := Sweep(context.Background(), SweepSpec{
+		Lambdas: []float64{4},
+		Gammas:  []float64{1, 5},
+		Counts:  Bichromatic(50),
+		Layout:  LayoutLine,
+		Steps:   1_500_000,
+		Seed:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("%d cells", len(cells))
+	}
+	byGamma := map[float64]Phase{}
+	for _, c := range cells {
+		byGamma[c.Gamma] = c.Snap.Phase
+	}
+	if byGamma[5] != CompressedSeparated {
+		t.Fatalf("γ=5 phase %v", byGamma[5])
+	}
+	if byGamma[1] != CompressedIntegrated {
+		t.Fatalf("γ=1 phase %v", byGamma[1])
+	}
+}
+
 func TestSweepObserveAndValidation(t *testing.T) {
 	if _, err := Sweep(context.Background(), SweepSpec{Counts: Bichromatic(10), Steps: 1}); !errors.Is(err, ErrEmptySweep) {
 		t.Fatalf("empty grid error %v", err)
