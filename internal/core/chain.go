@@ -153,7 +153,7 @@ func New(cfg *psys.Config, params Params) (*Chain, error) {
 // coupling vector (nil selects the model's defaults). params supplies the
 // seed and the swap switch; its Lambda/Gamma are normalized from the
 // model's couplings of those names (see BindModel). Scheduled models
-// (Scheduler) rebuild their acceptance tables at stage boundaries.
+// (Scheduler) recompute their acceptance thresholds at stage boundaries.
 func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Chain, error) {
 	m, params, coup, err := BindModel(m, cfg.NumColors(), params, coup)
 	if err != nil {
@@ -174,7 +174,7 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 		dE:      make([]int8, m.NumExponents()),
 		nextReb: math.MaxUint64,
 	}
-	c.rule = Rule{model: m, params: &c.params}
+	c.rule = newRule(m, &c.params)
 	if s, ok := m.(Scheduler); ok {
 		c.sched, c.coupNow = s, append([]float64(nil), coup...)
 	}
@@ -185,16 +185,16 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 }
 
 // retune recomputes the effective energy couplings for the chain's
-// current absolute step count (scheduled models only) and rebuilds the
-// acceptance tables from them. Called at construction, after a checkpoint
-// restore or a coupling change, and from Step when the scheduler's
-// announced boundary is reached.
+// current absolute step count (scheduled models only) and the acceptance
+// thresholds from them. Called at construction, after a checkpoint restore
+// or a coupling change, and from Step when the scheduler's announced
+// boundary is reached.
 func (c *Chain) retune() {
 	k := c.rule.model.NumExponents()
 	if c.sched != nil {
 		c.nextReb = c.sched.Effective(c.coup, c.stats.Steps, c.coupNow[:k])
 	}
-	c.rule.mt.rebuild(c.rule.model, c.coupNow[:k])
+	c.rule.mt.retune(c.coupNow[:k])
 }
 
 // Model returns the dynamics the chain runs.

@@ -14,15 +14,16 @@ import (
 // This file defines the pluggable-dynamics substrate: a Model is a local
 // Hamiltonian plus a move-validity predicate, expressed in exactly the
 // shape the table-driven kernel consumes. The kernel itself (chain.go,
-// sharded.go) is one table-driven path for every model — at init it asks
-// the model for its validity decision on each of the 6×256 (direction,
-// ring occupancy) cells and for its coupling constants, and precomputes
-// one integer acceptance threshold per exponent vector, so a step under
-// any model is still: one gather, one table probe, a few popcounts, one
-// integer compare. The paper's separation dynamics (Algorithm 1) is the
-// first registered model and reproduces the committed golden
-// trajectories; the alignment chain of Kedia–Oh–Randall and an annealed
-// compression→separation schedule run through the same kernel.
+// sharded.go) is one table-driven path for every model — once per bound
+// model it asks for the validity decision on each of the 6×256
+// (direction, ring occupancy) cells, and per coupling setting it
+// precomputes one integer acceptance threshold per exponent vector, so a
+// step under any model is still: one gather, one table probe, a few
+// popcounts, one integer compare. The paper's separation dynamics
+// (Algorithm 1) is the first registered model and reproduces the
+// committed golden trajectories; the alignment chain of Kedia–Oh–Randall
+// and an annealed compression→separation schedule run through the same
+// kernel.
 
 // MaxModelExp bounds the magnitude of every exponent a model may return:
 // DeltaExponents results must lie in [-MaxModelExp, MaxModelExp]. The
@@ -70,7 +71,9 @@ type ConfigView interface {
 //
 // Implementations must be deterministic pure functions of their inputs
 // and safe for concurrent use — the sharded executor calls them from P
-// workers. Exponents must lie within ±MaxModelExp.
+// workers. Exponents must lie within ±MaxModelExp. Bound model values
+// must be comparable: they key the validity tables every executor of the
+// same bound model shares.
 type Model interface {
 	// Name is the registry key and the wire-format model tag.
 	Name() string
@@ -282,13 +285,16 @@ func lambdaGamma(m Model, coup []float64) (lambda, gamma float64) {
 	return lambda, gamma
 }
 
-// modelTables holds a model's per-direction validity tables and a flat
-// integer acceptance-threshold table over its full exponent-vector space,
-// rebuilt at init (and at schedule boundaries). Each Rule holds one, which
-// concurrent executors share read-only.
+// modelTables holds a bound model's per-direction validity table and a
+// flat integer acceptance-threshold table over its full exponent-vector
+// space. The validity table depends only on the model, so every rule for
+// an equal bound model shares one (validityOf); the thresholds follow the
+// effective couplings and are recomputed at init and at schedule
+// boundaries (retune). Each Rule holds one, which concurrent executors
+// share read-only.
 type modelTables struct {
 	// moveOK[d][m] caches model.Valid(d, m).
-	moveOK [lattice.NumDirections][1 << 8]bool
+	moveOK *validityTable
 
 	// thresh[flat(dE)] encodes min(1, Π_i eff_i^dE_i) as the integer
 	// acceptance threshold; len(thresh) = expDim^k for k exponents. Moves
@@ -297,24 +303,51 @@ type modelTables struct {
 	thresh []uint64
 }
 
+// validityTable is a bound model's Valid decision on every (direction,
+// ring occupancy) cell.
+type validityTable [lattice.NumDirections][1 << 8]bool
+
+// validityTables holds the validity table of every bound model built so
+// far, keyed by the model value. Bound models are small values (a color
+// count at most), so the set stays as small as the set of models run, and
+// a table is a pure function of its key, so sharing one changes no
+// decision.
+var validityTables sync.Map // Model → *validityTable
+
+// validityOf returns the shared validity table of bound model m, building
+// it through Model.Valid on first use.
+func validityOf(m Model) *validityTable {
+	if v, ok := validityTables.Load(m); ok {
+		return v.(*validityTable)
+	}
+	v, _ := validityTables.LoadOrStore(m, buildValidity(m))
+	return v.(*validityTable)
+}
+
+// buildValidity asks m for its decision on each of the 6×256 cells.
+func buildValidity(m Model) *validityTable {
+	t := new(validityTable)
+	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+		for occ := 0; occ < 1<<8; occ++ {
+			t[d][occ] = m.Valid(d, uint8(occ))
+		}
+	}
+	return t
+}
+
 // expDim is the per-exponent index range of the threshold table.
 const expDim = 2*maxExp + 1
 
-// rebuild recomputes the tables for m at effective energy couplings eff
-// (length k). The per-vector probability product is formed right to left
-// from a 1.0 accumulator, so for the separation model (eff = [λ, γ]) the
-// float64 value is exactly the seed implementation's λ^a·γ^b and every
-// acceptance decision is bit-identical to it. The table is filled row by
-// row in flat's order: the last exponent varies along a row, and an
-// odometer over the other exponents' digits steps from row to row, which
-// keeps the loop free of divisions.
-func (t *modelTables) rebuild(m Model, eff []float64) {
-	for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
-		for occ := 0; occ < 1<<8; occ++ {
-			t.moveOK[d][occ] = m.Valid(d, uint8(occ))
-		}
-	}
-	k := m.NumExponents()
+// retune recomputes the threshold table at effective energy couplings
+// eff, one per exponent. The per-vector probability product is formed
+// right to left from a 1.0 accumulator, so for the separation model
+// (eff = [λ, γ]) the float64 value is exactly the seed implementation's
+// λ^a·γ^b and every acceptance decision is bit-identical to it. The table
+// is filled row by row in flat's order: the last exponent varies along a
+// row, and an odometer over the other exponents' digits steps from row to
+// row, which keeps the loop free of divisions.
+func (t *modelTables) retune(eff []float64) {
+	k := len(eff)
 	pow := make([]float64, k*expDim) // pow[i·expDim + e + maxExp] = eff_i^e
 	size := 1
 	for i := 0; i < k; i++ {

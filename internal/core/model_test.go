@@ -67,7 +67,7 @@ func TestValidateCouplings(t *testing.T) {
 // checkModelTables holds mt, built for m at effective couplings eff, to
 // the seed rule: every exponent vector dE indexes the threshold
 // acceptThreshold(Π_i eff_i^dE_i), the product of math.Pow terms formed
-// right to left as rebuild forms it. For separation (eff = [λ, γ]) that
+// right to left as retune forms it. For separation (eff = [λ, γ]) that
 // is exactly the seed's acceptThreshold(λ^a·γ^b), and γ^k at the swap
 // vectors (0, k). Every validity cell must match m.Valid.
 func checkModelTables(t testing.TB, mt *modelTables, m Model, eff []float64) {
@@ -119,9 +119,74 @@ func TestModelTablesMatchLegacy(t *testing.T) {
 		{Separation, []float64{6.25, 81.0 / 79.0}},
 		{Alignment.(Binder).Bind(3), []float64{1.3, 2.7, 1.9}},
 	} {
-		var mt modelTables
-		mt.rebuild(tc.m, tc.eff)
+		mt := modelTables{moveOK: validityOf(tc.m)}
+		mt.retune(tc.eff)
 		checkModelTables(t, &mt, tc.m, tc.eff)
+	}
+}
+
+// TestValidityTableShared holds the once-per-model validity table to a
+// fresh build through Model.Valid for every registered model, with
+// alignment bound at k = 2 and k = 3: validityOf hands out one table per
+// bound model, every cell equals Valid, and NewRule, the sharded executor
+// and the chain decide through that table, which a threshold retune
+// leaves in place.
+func TestValidityTableShared(t *testing.T) {
+	var models []Model
+	for _, name := range ModelNames() {
+		m, err := LookupModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := m.(Binder); ok {
+			models = append(models, b.Bind(2), b.Bind(3))
+		} else {
+			models = append(models, m)
+		}
+	}
+	cfg, err := Initial(LayoutSpiral, []int{12, 12, 12}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range models {
+		shared := validityOf(m)
+		if validityOf(m) != shared {
+			t.Fatalf("%s (%v): validityOf built a second table", m.Name(), m)
+		}
+		for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+			for occ := 0; occ < 1<<8; occ++ {
+				if shared[d][occ] != m.Valid(d, uint8(occ)) {
+					t.Fatalf("%s (%v): table[%v][%#x] diverges from Valid", m.Name(), m, d, occ)
+				}
+			}
+		}
+		coup := DefaultCouplings(m)
+		if u := NewRule(m, coup[:m.NumExponents()], &Params{}); u.mt.moveOK != shared {
+			t.Fatalf("%s (%v): NewRule does not use the shared table", m.Name(), m)
+		}
+		sh, err := NewShardedWithModel(cfg, Params{Seed: 1}, m, nil, ShardedOptions{Workers: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := sh.rule.model; sh.rule.mt.moveOK != validityOf(b) {
+			t.Fatalf("%s (%v): sharded executor does not use the shared table", m.Name(), m)
+		}
+		ch, err := NewWithModel(cfg.Clone(), Params{Seed: 1}, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := ch.rule.model
+		if ch.rule.mt.moveOK != validityOf(b) {
+			t.Fatalf("%s (%v): chain does not use the shared table", m.Name(), m)
+		}
+		coup = ch.Couplings()
+		coup[0] *= 2
+		if err := ch.SetCouplings(coup); err != nil {
+			t.Fatal(err)
+		}
+		if ch.rule.mt.moveOK != validityOf(b) {
+			t.Fatalf("%s (%v): retune replaced the validity table", m.Name(), m)
+		}
 	}
 }
 
@@ -137,8 +202,8 @@ func FuzzModelTables(f *testing.F) {
 			t.Skip()
 		}
 		eff := []float64{lambda, gamma}
-		var mt modelTables
-		mt.rebuild(Separation, eff)
+		mt := modelTables{moveOK: validityOf(Separation)}
+		mt.retune(eff)
 		checkModelTables(t, &mt, Separation, eff)
 	})
 }
@@ -507,7 +572,8 @@ func TestAnnealCheckpointExactResume(t *testing.T) {
 
 // TestSetCouplingsGeneric covers mid-run retuning of a non-separation
 // model: SetParams is refused (couplings own the bias now), SetCouplings
-// rebuilds the tables, and a bad vector is rejected with the named error.
+// retunes the thresholds, and a bad vector is rejected with the named
+// error.
 func TestSetCouplingsGeneric(t *testing.T) {
 	cfg, err := Initial(LayoutSpiral, []int{12, 12}, 2)
 	if err != nil {

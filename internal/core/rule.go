@@ -24,9 +24,16 @@ type Rule struct {
 // energy couplings eff (length m.NumExponents()). The rule reads
 // params.DisableSwaps at every swap proposal.
 func NewRule(m Model, eff []float64, params *Params) *Rule {
-	u := &Rule{model: m, params: params}
-	u.mt.rebuild(m, eff)
-	return u
+	u := newRule(m, params)
+	u.mt.retune(eff)
+	return &u
+}
+
+// newRule returns the rule for bound model m with its shared validity
+// table; the caller fills the thresholds with mt.retune before the first
+// proposal.
+func newRule(m Model, params *Params) Rule {
+	return Rule{model: m, params: params, mt: modelTables{moveOK: validityOf(m)}}
 }
 
 // Model returns the bound model the rule decides for.

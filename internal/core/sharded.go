@@ -75,8 +75,8 @@ type Sharded struct {
 
 	// Dynamics state, mirroring Chain: every worker decides through the
 	// shared read-only rule. For scheduled models Run clamps epoch budgets
-	// at schedule boundaries and rebuilds the rule's tables between epochs
-	// — workers never observe a table change mid-epoch.
+	// at schedule boundaries and retunes the rule's thresholds between
+	// epochs — workers never observe a table change mid-epoch.
 	// stepOff is the absolute step count of the run this executor
 	// continues (ShardedOptions.StepOffset), so schedules resume exactly.
 	rule    Rule
@@ -167,8 +167,9 @@ func NewSharded(cfg *psys.Config, params Params, opts ShardedOptions) (*Sharded,
 // NewShardedWithModel builds a sharded executor over a copy of cfg
 // running model m with the given full coupling vector (nil selects the
 // model's defaults). Every worker makes its decisions through the same
-// shared, read-only rule, whose tables are rebuilt from the model at init
-// (and, for scheduled models, between epochs at stage boundaries).
+// shared, read-only rule: the bound model's shared validity table and
+// thresholds computed at init (and, for scheduled models, recomputed
+// between epochs at stage boundaries).
 func NewShardedWithModel(cfg *psys.Config, params Params, m Model, coup []float64, opts ShardedOptions) (*Sharded, error) {
 	if cfg.N() == 0 {
 		return nil, ErrEmptyConfig
@@ -196,7 +197,7 @@ func NewShardedWithModel(cfg *psys.Config, params Params, m Model, coup []float6
 		stepOff:   opts.StepOffset,
 		nextReb:   math.MaxUint64,
 	}
-	s.rule = Rule{model: m, params: &s.params}
+	s.rule = newRule(m, &s.params)
 	if sched, ok := m.(Scheduler); ok {
 		s.sched, s.coupNow = sched, append([]float64(nil), coup...)
 	}
@@ -208,7 +209,8 @@ func NewShardedWithModel(cfg *psys.Config, params Params, m Model, coup []float6
 }
 
 // retune recomputes the effective couplings for absolute step abs
-// (scheduled models only) and rebuilds the shared acceptance tables.
+// (scheduled models only) and recomputes the shared acceptance
+// thresholds.
 // Called only between epochs (or at construction), never while workers
 // run.
 func (s *Sharded) retune(abs uint64) {
@@ -216,7 +218,7 @@ func (s *Sharded) retune(abs uint64) {
 	if s.sched != nil {
 		s.nextReb = s.sched.Effective(s.coup, abs, s.coupNow[:k])
 	}
-	s.rule.mt.rebuild(s.rule.model, s.coupNow[:k])
+	s.rule.mt.retune(s.coupNow[:k])
 }
 
 // Model returns the dynamics the executor runs.

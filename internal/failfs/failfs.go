@@ -80,11 +80,11 @@ func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(n
 func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) Link(oldname, newname string) error          { return os.Link(oldname, newname) }
-func (osFS) Stat(name string) (fs.FileInfo, error)       { return os.Stat(name) }
+func (osFS) Link(oldname, newname string) error           { return os.Link(oldname, newname) }
+func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -128,15 +128,15 @@ type Op uint8
 
 // The operation classes faults attach to.
 const (
-	OpCreate Op = iota // CreateTemp
-	OpWrite            // File.Write
-	OpSync             // File.Sync
-	OpRename           // Rename
-	OpRemove           // Remove
-	OpMkdir            // MkdirAll
-	OpRead             // ReadFile
-	OpLink             // Link
-	OpSyncDir          // SyncDir
+	OpCreate  Op = iota // CreateTemp
+	OpWrite             // File.Write
+	OpSync              // File.Sync
+	OpRename            // Rename
+	OpRemove            // Remove
+	OpMkdir             // MkdirAll
+	OpRead              // ReadFile
+	OpLink              // Link
+	OpSyncDir           // SyncDir
 )
 
 var opNames = map[Op]string{

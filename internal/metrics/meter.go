@@ -6,18 +6,21 @@ import (
 )
 
 // Meter computes Snapshots repeatedly over a live configuration without
-// allocating at steady state: the flood-fill scratch is reused across
-// captures (sized to the configuration's dense storage window) and the
-// p_min(n) spiral construction is memoized per particle count. One Meter
-// serves one chain; it is not safe for concurrent use.
+// allocating at steady state: the largest-cluster flood fill walks a
+// scratch copy of the dense store's cell bytes by index
+// (psys.Config.Cells), reused across captures, and the p_min(n) spiral
+// construction is memoized per particle count. One Meter serves one
+// chain; it is not safe for concurrent use.
 type Meter struct {
 	th Thresholds
 
 	minPerimN int // particle count the memo is valid for (-1 = none)
 	minPerimV int
 
-	visited []bool
-	stack   []int32
+	// Scratch for the dense flood fill: a copy of the store's cells,
+	// cleared as the fill reaches them, and the fill's index stack.
+	grid  []uint8
+	stack []int32
 
 	// Scratch for CaptureStore's tiled flood fill.
 	storeVisited tileVisitedSet
@@ -39,9 +42,12 @@ func (m *Meter) minPerimeter(n int) int {
 }
 
 // largestClusterSize returns the size of the largest connected
-// monochromatic cluster of color c, via a flood fill over the dense storage
-// window using reusable scratch. Configurations with overflow particles
-// (never produced by a chain) fall back to the allocating Clusters path.
+// monochromatic cluster of color c, via a flood fill over the dense store's
+// cell bytes by index, using reusable scratch: it scans the cells for
+// particles of color c and steps to neighbors by the window's constant
+// index offsets, which the vacant border ring keeps inside the store for
+// every particle. Configurations with overflow particles (never produced
+// by a chain) fall back to the allocating Clusters path.
 func (m *Meter) largestClusterSize(cfg *psys.Config, c psys.Color) int {
 	if !cfg.DenseOnly() {
 		cls := Clusters(cfg, c)
@@ -50,42 +56,27 @@ func (m *Meter) largestClusterSize(cfg *psys.Config, c psys.Color) int {
 		}
 		return len(cls[0])
 	}
-	win := cfg.Window()
-	area := win.Area()
-	if cap(m.visited) < area {
-		m.visited = make([]bool, area)
-	}
-	m.visited = m.visited[:area]
-	for i := range m.visited {
-		m.visited[i] = false
-	}
+	// The fill runs on a scratch copy of the cells and clears each cell of
+	// color c as it is reached, so the copy is its own visited set.
+	grid := append(m.grid[:0], cfg.Cells()...)
+	m.grid = grid
+	offs := cfg.Window().NeighborOffsets()
+	want := uint8(c) + 1
 	best := 0
-	for i := 0; i < area; i++ {
-		if m.visited[i] {
+	for i, v := range grid {
+		if v != want {
 			continue
 		}
-		p := win.PointAt(i)
-		if col, ok := cfg.At(p); !ok || col != c {
-			continue
-		}
-		m.visited[i] = true
+		grid[i] = 0
 		m.stack = append(m.stack[:0], int32(i))
 		size := 0
 		for len(m.stack) > 0 {
 			j := int(m.stack[len(m.stack)-1])
 			m.stack = m.stack[:len(m.stack)-1]
 			size++
-			q := win.PointAt(j)
-			for _, nb := range q.Neighbors() {
-				if !win.Contains(nb) {
-					continue
-				}
-				k := win.Index(nb)
-				if m.visited[k] {
-					continue
-				}
-				if col, ok := cfg.At(nb); ok && col == c {
-					m.visited[k] = true
+			for _, off := range offs {
+				if k := j + off; grid[k] == want {
+					grid[k] = 0
 					m.stack = append(m.stack, int32(k))
 				}
 			}

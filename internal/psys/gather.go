@@ -16,15 +16,20 @@ import (
 //	triangular lattice they share the 2 common neighbors of l and lp,
 //	so |N(l) ∪ N(lp)| \ {l, lp}| = 8.
 //
-// GatherPair reads those 8 cells from the dense store once, packing the
-// raw cell bytes into one uint64 and occupancy into an 8-bit mask. The
-// movement conditions of Algorithm 1 (Degree(l) ≠ 5, Property 4 or 5)
-// collapse to a single probe of a 256-entry table built per direction at
-// init time from the readable reference implementations Property4On and
-// Property5On, and all degree quantities become popcounts of the packed
-// masks against per-direction adjacency masks. The reference methods
-// (Degree, ColorDegree*, Property4, Property5) remain the specification;
-// differential tests and FuzzGatherKernel hold the kernel to them.
+// GatherPair reads those 8 cells from the dense store once: eight
+// unrolled byte loads pack the raw cell bytes into one uint64, and the
+// 8-bit occupancy mask is derived from the packed word without a branch
+// (gatherCells, occMask). The movement conditions of Algorithm 1
+// (Degree(l) ≠ 5, Property 4 or 5) collapse to a single probe of a
+// 256-entry table built per direction at init time from the readable
+// reference implementations Property4On and Property5On, and all degree
+// quantities become popcounts of the packed masks against per-direction
+// adjacency masks. An accepted move or swap changes e(σ) and a(σ) only
+// by counts over the same ring, so Config.ApplyMove and ApplySwap commit
+// from one gather too: two cell writes plus the popcount exponents. The
+// reference methods (Degree, ColorDegree*, Property4, Property5, Remove,
+// Place) remain the specification; differential tests and
+// FuzzGatherKernel hold the kernel to them.
 
 // pairRingSize is the number of distinct cells adjacent to either
 // endpoint of a lattice edge, excluding the endpoints themselves.
@@ -157,24 +162,61 @@ func (c *Config) rebuildPairOffsets() {
 // falls back to GatherPairFrom over the general per-point read path,
 // producing the identical packed view.
 func (c *Config) GatherPair(l lattice.Point, dir lattice.Direction) PairGather {
-	if c.overflow == nil && c.win.Interior2(l) {
-		g := PairGather{dir: dir}
-		base := c.win.Index(l)
-		off := &c.pairOff[dir]
-		var ring uint64
-		var occ uint8
-		for k := 0; k < pairRingSize; k++ {
-			v := c.cells[base+int(off[k])]
-			ring |= uint64(v) << (8 * k)
-			if v != 0 {
-				occ |= 1 << k
-			}
-		}
-		g.ring, g.occ = ring, occ
-		g.ends = uint16(c.cells[base]) | uint16(c.cells[base+int(c.pairNb[dir])])<<8
-		return g
+	if c.pairDense(l) {
+		return c.gatherAt(c.win.Index(l), dir)
 	}
 	return GatherPairFrom(c.colorAt, l, dir)
+}
+
+// pairDense reports whether the single-gather fast path covers proposals
+// from l: a fully dense store with l at window depth ≥ 2, so every cell of
+// the pair ring — and lp, which is then interior — sits at a constant
+// index offset from l.
+func (c *Config) pairDense(l lattice.Point) bool {
+	return c.overflow == nil && c.win.Interior2(l)
+}
+
+// gatherAt is GatherPair's fast path for l at dense-store index base.
+func (c *Config) gatherAt(base int, dir lattice.Direction) PairGather {
+	return gatherCells(c.cells, base, &c.pairOff[dir], c.pairNb[dir], dir)
+}
+
+// gatherCells packs the pair neighborhood of the cell at index base of a
+// row-major cell plane, given the ring's index offsets off and lp's
+// offset nb: eight unrolled loads fill the ring lanes, the occupancy mask
+// comes from the packed word, and two more loads take the ends. It is the
+// one dense gather of both the Config window and the tile store's planes.
+func gatherCells(cells []uint8, base int, off *[pairRingSize]int32, nb int32, dir lattice.Direction) PairGather {
+	ring := uint64(cells[base+int(off[0])]) |
+		uint64(cells[base+int(off[1])])<<8 |
+		uint64(cells[base+int(off[2])])<<16 |
+		uint64(cells[base+int(off[3])])<<24 |
+		uint64(cells[base+int(off[4])])<<32 |
+		uint64(cells[base+int(off[5])])<<40 |
+		uint64(cells[base+int(off[6])])<<48 |
+		uint64(cells[base+int(off[7])])<<56
+	return PairGather{
+		ring: ring,
+		occ:  occMask(ring),
+		ends: uint16(cells[base]) | uint16(cells[base+int(nb)])<<8,
+		dir:  dir,
+	}
+}
+
+// occMask returns the mask with bit k set iff byte lane k of ring is
+// nonzero, without a branch. The SWAR test ((x & 0x7f…) + 0x7f…) | x sets
+// the high bit of exactly the nonzero lanes (the addition cannot carry
+// out of a lane); shifted down to bit 8k, one multiply by
+// 0x0102040810204080 moves lane k's bit to bit 56 + k and nothing else
+// into the top byte, and no two partial products share a bit, so no
+// carry disturbs it.
+func occMask(ring uint64) uint8 {
+	const (
+		low7 = 0x7f7f7f7f7f7f7f7f
+		high = 0x8080808080808080
+	)
+	nz := (((ring & low7) + low7) | ring) & high
+	return uint8((nz >> 7) * 0x0102040810204080 >> 56)
 }
 
 // GatherPairFrom packs the joint neighborhood of l and lp = l.Neighbor(dir)

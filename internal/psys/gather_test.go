@@ -1,6 +1,8 @@
 package psys
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"sops/internal/lattice"
@@ -118,6 +120,142 @@ func TestGatherPairOverflowStore(t *testing.T) {
 	for _, anchor := range []lattice.Point{{}, {Q: 1}, far, far.Neighbor(0)} {
 		for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
 			checkGatherAgainstReference(t, c, anchor, d)
+		}
+	}
+}
+
+// TestOccMaskExhaustive checks the branch-free occupancy mask on all 256
+// lane patterns. Occupied lanes hold the extreme bytes 0x01, 0x7f, 0x80
+// and 0xff, then random nonzero bytes: the SWAR test must report a lane
+// whatever its value, high bit included.
+func TestOccMaskExhaustive(t *testing.T) {
+	r := rng.New(19)
+	for m := 0; m < 1<<pairRingSize; m++ {
+		for trial := 0; trial < 20; trial++ {
+			var ring uint64
+			for k := 0; k < pairRingSize; k++ {
+				if m>>k&1 == 0 {
+					continue
+				}
+				v := uint64(1 + r.Intn(255))
+				if trial < 4 {
+					v = [4]uint64{0x01, 0x7f, 0x80, 0xff}[trial]
+				}
+				ring |= v << (8 * k)
+			}
+			if got := occMask(ring); got != uint8(m) {
+				t.Fatalf("occMask(%#016x) = %#08b, want %#08b", ring, got, m)
+			}
+		}
+	}
+}
+
+// TestRingCommitMatchesRemovePlace drives the gathered-ring commit of
+// ApplyMove and ApplySwap over every direction and all 256 ring
+// occupancies with random colors (k = 3), l at window depth ≥ 2 so the
+// fast path runs. After each commit the cells, e(σ) and a(σ) must equal
+// Remove + Place on a clone, and every observable must equal the
+// map-backed reference store's. CheckCounts must hold after every
+// commit; CheckInvariants must hold after one that started clean and was
+// a swap or a move the validity table allows.
+func TestRingCommitMatchesRemovePlace(t *testing.T) {
+	r := rng.New(23)
+	l := lattice.Point{}
+	for dir := lattice.Direction(0); dir < lattice.NumDirections; dir++ {
+		lp := l.Neighbor(dir)
+		for occ := 0; occ < 1<<pairRingSize; occ++ {
+			for _, swap := range []bool{false, true} {
+				parts := []Particle{{l, Color(r.Intn(3))}}
+				if swap {
+					parts = append(parts, Particle{lp, Color(r.Intn(3))})
+				}
+				for k, d := range pairTables[dir].pts {
+					if occ>>k&1 == 1 {
+						parts = append(parts, Particle{l.Add(d), Color(r.Intn(3))})
+					}
+				}
+				fast := mustConfig(t, parts)
+				if !fast.pairDense(l) {
+					t.Fatalf("dir=%v occ=%#x: l not on the fast path", dir, occ)
+				}
+				slow := fast.Clone()
+				ref := newRef()
+				for _, pt := range parts {
+					if err := ref.Place(pt.Pos, pt.Color); err != nil {
+						t.Fatal(err)
+					}
+				}
+				clean := fast.CheckInvariants() == nil
+				cl, cp := parts[0].Color, Color(0)
+				var err, refErr error
+				if swap {
+					cp = parts[1].Color
+					err, refErr = fast.ApplySwap(l, lp), ref.ApplySwap(l, lp)
+					if cl != cp {
+						mustOK(t, slow.Remove(l), slow.Remove(lp), slow.Place(l, cp), slow.Place(lp, cl))
+					}
+				} else {
+					err, refErr = fast.ApplyMove(l, lp), ref.ApplyMove(l, lp)
+					mustOK(t, slow.Remove(l), slow.Place(lp, cl))
+					clean = clean && MoveOK(dir, uint8(occ))
+				}
+				if err != nil || refErr != nil {
+					t.Fatalf("dir=%v occ=%#x swap=%v: err %v, reference %v", dir, occ, swap, err, refErr)
+				}
+				if fast.win != slow.win || !bytes.Equal(fast.cells, slow.cells) {
+					t.Fatalf("dir=%v occ=%#x swap=%v: cells differ from Remove + Place", dir, occ, swap)
+				}
+				if fast.Edges() != slow.Edges() || fast.HomEdges() != slow.HomEdges() {
+					t.Fatalf("dir=%v occ=%#x swap=%v: e=%d a=%d, Remove + Place e=%d a=%d",
+						dir, occ, swap, fast.Edges(), fast.HomEdges(), slow.Edges(), slow.HomEdges())
+				}
+				if err := compareStores(fast, ref); err != nil {
+					t.Fatalf("dir=%v occ=%#x swap=%v: %v", dir, occ, swap, err)
+				}
+				if err := fast.CheckCounts(); err != nil {
+					t.Fatalf("dir=%v occ=%#x swap=%v: %v", dir, occ, swap, err)
+				}
+				if err := fast.CheckInvariants(); clean && err != nil {
+					t.Fatalf("dir=%v occ=%#x swap=%v: %v", dir, occ, swap, err)
+				}
+			}
+		}
+	}
+}
+
+// TestRingCommitErrors pins the fast path's verdicts to the general
+// path's: the same sentinel errors in the same order, wrapped with the
+// same context, and a same-colored swap a no-op.
+func TestRingCommitErrors(t *testing.T) {
+	c := mustConfig(t, []Particle{{lattice.Point{}, 0}, {lattice.Point{Q: 1}, 0}, {lattice.Point{Q: 2}, 1}})
+	vacant := lattice.Point{R: 1}
+	for _, tc := range []struct {
+		err  error
+		want error
+		msg  string
+	}{
+		{c.ApplyMove(lattice.Point{}, lattice.Point{Q: 2}), ErrNotAdjacent, ErrNotAdjacent.Error()},
+		{c.ApplyMove(vacant, vacant.Neighbor(0)), ErrVacant, "move from (0,1): " + ErrVacant.Error()},
+		{c.ApplyMove(lattice.Point{}, lattice.Point{Q: 1}), ErrOccupied, "move to (1,0): " + ErrOccupied.Error()},
+		{c.ApplySwap(lattice.Point{}, lattice.Point{Q: 2}), ErrNotAdjacent, ErrNotAdjacent.Error()},
+		{c.ApplySwap(vacant, lattice.Point{}), ErrVacant, "swap at (0,1): " + ErrVacant.Error()},
+		{c.ApplySwap(lattice.Point{}, vacant), ErrVacant, "swap at (0,1): " + ErrVacant.Error()},
+		{c.ApplySwap(lattice.Point{}, lattice.Point{Q: 1}), nil, ""},
+	} {
+		if !errors.Is(tc.err, tc.want) || (tc.err != nil && tc.err.Error() != tc.msg) {
+			t.Errorf("got %v, want %q", tc.err, tc.msg)
+		}
+	}
+	if err := c.CheckCounts(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustOK(t *testing.T, errs ...error) {
+	t.Helper()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -84,9 +84,33 @@ func (c *Config) MoveValid(l, lp lattice.Point) bool {
 // ApplyMove moves the particle at l to the adjacent unoccupied node lp,
 // keeping its color and updating all edge statistics incrementally. It does
 // not re-check Property 4/5; callers decide validity via MoveValid.
+//
+// Where GatherPair takes its fast path the move commits from one gather:
+// the changed edges are exactly the occupied ring cells adjacent to lp
+// minus those adjacent to l (MoveExponents), which is what Remove(l) and
+// Place(lp) would count, and lp is interior, so the window never grows.
+// Elsewhere it is Remove(l) then Place(lp).
 func (c *Config) ApplyMove(l, lp lattice.Point) error {
-	if !l.Adjacent(lp) {
+	dir, ok := l.DirectionTo(lp)
+	if !ok {
 		return ErrNotAdjacent
+	}
+	if c.pairDense(l) {
+		base := c.win.Index(l)
+		g := c.gatherAt(base, dir)
+		col, ok := g.LColor()
+		if !ok {
+			return fmt.Errorf("move from %v: %w", l, ErrVacant)
+		}
+		if _, ok := g.LpColor(); ok {
+			return fmt.Errorf("move to %v: %w", lp, ErrOccupied)
+		}
+		c.cells[base] = 0
+		c.cells[base+int(c.pairNb[dir])] = uint8(col) + 1
+		dl, dg := g.MoveExponents()
+		c.edges += dl
+		c.hom += dg
+		return nil
 	}
 	col, ok := c.At(l)
 	if !ok {
@@ -103,10 +127,30 @@ func (c *Config) ApplyMove(l, lp lattice.Point) error {
 
 // ApplySwap exchanges the particles at adjacent occupied nodes l and lp
 // (a swap move, §2.3). Swap moves never change the set of occupied nodes,
-// so they cannot disconnect the system or create holes.
+// so they cannot disconnect the system or create holes. On GatherPair's
+// fast path it commits from one gather: e(σ) is unchanged and a(σ) moves
+// by SwapExponent, the recolored same-color adjacencies around the ring.
 func (c *Config) ApplySwap(l, lp lattice.Point) error {
-	if !l.Adjacent(lp) {
+	dir, ok := l.DirectionTo(lp)
+	if !ok {
 		return ErrNotAdjacent
+	}
+	if c.pairDense(l) {
+		base := c.win.Index(l)
+		g := c.gatherAt(base, dir)
+		cl, clp := uint8(g.ends), uint8(g.ends>>8)
+		if cl == 0 {
+			return fmt.Errorf("swap at %v: %w", l, ErrVacant)
+		}
+		if clp == 0 {
+			return fmt.Errorf("swap at %v: %w", lp, ErrVacant)
+		}
+		if cl == clp {
+			return nil
+		}
+		c.cells[base], c.cells[base+int(c.pairNb[dir])] = clp, cl
+		c.hom += g.SwapExponent()
+		return nil
 	}
 	cl, ok := c.At(l)
 	if !ok {

@@ -353,6 +353,15 @@ func (c *Config) Window() lattice.Window { return c.win }
 // miss the overflow particles and callers must fall back to point lists.
 func (c *Config) DenseOnly() bool { return c.overflow == nil }
 
+// Cells returns the whole dense store: cell i holds the vertex
+// Window().PointAt(i), as 0 when vacant and color+1 when occupied. Every
+// dense particle lies in the window's interior, so Window().
+// NeighborOffsets() added to a particle's index address its six neighbors.
+// It has RowCells' contract: the slice aliases the store, so callers must
+// treat it as read-only and must not hold it across mutations, and
+// overflow particles are not visible through it (check DenseOnly first).
+func (c *Config) Cells() []byte { return c.cells }
+
 // RowCells returns the dense-store cell bytes — 0 for a vacant vertex,
 // color+1 for a particle — of the window row R = r, clipped to Q ∈
 // [loQ, hiQ], or nil when the row or range falls outside the window. It is

@@ -510,20 +510,7 @@ func (s *TileStore) GatherPair(l lattice.Point, dir lattice.Direction) PairGathe
 	g := PairGather{dir: dir}
 	if lattice.TileInterior2(l) {
 		if tp := s.plane(l); tp != nil {
-			base := lattice.TileIndex(l)
-			off := &tilePairOff[dir]
-			var ring uint64
-			var occ uint8
-			for k := 0; k < pairRingSize; k++ {
-				v := tp.cells[base+int(off[k])]
-				ring |= uint64(v) << (8 * k)
-				if v != 0 {
-					occ |= 1 << k
-				}
-			}
-			g.ring, g.occ = ring, occ
-			g.ends = uint16(tp.cells[base]) | uint16(tp.cells[base+int(tileNbOff[dir])])<<8
-			return g
+			return gatherCells(tp.cells[:], lattice.TileIndex(l), &tilePairOff[dir], tileNbOff[dir], dir)
 		}
 		return g // absent tile: all ten cells vacant
 	}

@@ -35,9 +35,9 @@ type Sources struct {
 
 // status is the JSON document served at /debug/sops.
 type status struct {
-	Now   time.Time      `json:"now"`
-	Info  map[string]any `json:"info,omitempty"`
-	Probe *Status        `json:"probe,omitempty"`
+	Now    time.Time      `json:"now"`
+	Info   map[string]any `json:"info,omitempty"`
+	Probe  *Status        `json:"probe,omitempty"`
 	Sweep  *SweepProgress `json:"sweep,omitempty"`
 	Trace  *traceStatus   `json:"trace,omitempty"`
 	Health *HealthStatus  `json:"health,omitempty"`
