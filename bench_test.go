@@ -503,7 +503,7 @@ func BenchmarkConcurrentScheduler(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := amoebot.RunConcurrent(w, 1_000_000, workers, uint64(i)); err != nil {
+		if _, err := amoebot.RunConcurrent(context.Background(), w, 1_000_000, workers, uint64(i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,9 +100,9 @@ func (d *Distributed) RunContext(ctx context.Context, activations uint64, worker
 func (d *Distributed) run(ctx context.Context, activations uint64, workers int, seed uint64) (performed, moves, swaps uint64, err error) {
 	var res amoebot.Result
 	if workers <= 1 {
-		res, err = amoebot.RunSequentialFault(ctx, d.world, activations, seed, d.inj)
+		res, err = amoebot.RunSequential(ctx, d.world, activations, seed, d.inj)
 	} else {
-		res, err = amoebot.RunConcurrentFault(ctx, d.world, activations, workers, seed, d.inj)
+		res, err = amoebot.RunConcurrent(ctx, d.world, activations, workers, seed, d.inj)
 	}
 	d.done += res.Activations
 	if err != nil && err != ctx.Err() {

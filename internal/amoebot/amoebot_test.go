@@ -1,6 +1,7 @@
 package amoebot
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -13,6 +14,17 @@ import (
 )
 
 var benchSeed atomic.Uint64
+
+// runSequential runs the sequential scheduler without cancellation or
+// faults, failing the test on an audit error.
+func runSequential(t *testing.T, w *World, activations, seed uint64) Result {
+	t.Helper()
+	res, err := RunSequential(context.Background(), w, activations, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // rngFor hands each benchmark goroutine its own seeded source.
 func rngFor(testing.TB) *rng.Buffered {
@@ -65,7 +77,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSequentialPreservesInvariants(t *testing.T) {
 	w := newWorld(t, []int{10, 10}, core.Params{Lambda: 4, Gamma: 4})
-	res := RunSequential(w, 100000, 7)
+	res := runSequential(t, w, 100000, 7)
 	if res.Moves == 0 || res.Swaps == 0 {
 		t.Fatalf("no activity: %+v", res)
 	}
@@ -93,7 +105,7 @@ func TestConcurrentPreservesInvariants(t *testing.T) {
 	if workers < 2 {
 		workers = 2
 	}
-	res, err := RunConcurrent(w, 200000, workers, 11)
+	res, err := RunConcurrent(context.Background(), w, 200000, workers, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +126,7 @@ func TestConcurrentPreservesInvariants(t *testing.T) {
 
 func TestConcurrentWorkerValidation(t *testing.T) {
 	w := newWorld(t, []int{3, 3}, core.Params{Lambda: 2, Gamma: 2})
-	if _, err := RunConcurrent(w, 10, 0, 1); err != ErrNoWorkers {
+	if _, err := RunConcurrent(context.Background(), w, 10, 0, 1, nil); err != ErrNoWorkers {
 		t.Fatalf("zero workers: %v", err)
 	}
 }
@@ -143,7 +155,7 @@ func TestRuntimeMatchesCentralizedChain(t *testing.T) {
 	segChain := metrics.SegregationIndex(ch.Config())
 
 	w := newWorld(t, counts, params)
-	if _, err := RunConcurrent(w, 3000000, 4, 10); err != nil {
+	if _, err := RunConcurrent(context.Background(), w, 3000000, 4, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := w.Snapshot()
@@ -220,7 +232,7 @@ func TestSequentialRuntimeIsChain(t *testing.T) {
 			if snap := w.Snapshot(); snap.CanonicalKey() != ch.Config().CanonicalKey() || !snap.Equal(ch.Config()) {
 				t.Fatal("runtime and chain end on different configurations")
 			}
-			res := RunSequential(ws, prefix, params.Seed)
+			res := runSequential(t, ws, prefix, params.Seed)
 			if res.Moves != atPrefix.Moves || res.Swaps != atPrefix.Swaps || res.Moves == 0 || !ws.Snapshot().Equal(prefixCfg) {
 				t.Fatalf("RunSequential %+v, chain %+v at step %d", res, atPrefix, prefix)
 			}
@@ -231,7 +243,7 @@ func TestSequentialRuntimeIsChain(t *testing.T) {
 func TestSequentialDeterminism(t *testing.T) {
 	run := func() string {
 		w := newWorld(t, []int{8, 8}, core.Params{Lambda: 3, Gamma: 3})
-		RunSequential(w, 50000, 42)
+		runSequential(t, w, 50000, 42)
 		return w.Snapshot().CanonicalKey()
 	}
 	if run() != run() {
@@ -250,7 +262,7 @@ func TestArenaBoundaryRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RunSequential(w, 20000, 5)
+	runSequential(t, w, 20000, 5)
 	snap := w.Snapshot()
 	if snap.N() != 2 || !snap.Connected() {
 		t.Fatal("tiny-arena run corrupted the system")
@@ -289,7 +301,7 @@ func TestCrashStopParticles(t *testing.T) {
 	if !w.Frozen(0) || w.Frozen(9) {
 		t.Fatal("frozen flags wrong")
 	}
-	res, err := RunConcurrent(w, 500000, 4, 13)
+	res, err := RunConcurrent(context.Background(), w, 500000, 4, 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +324,7 @@ func TestCrashStopParticles(t *testing.T) {
 	for id := 0; id < 5; id++ {
 		w.SetFrozen(id, false)
 	}
-	if _, err := RunConcurrent(w, 100000, 4, 14); err != nil {
+	if _, err := RunConcurrent(context.Background(), w, 100000, 4, 14, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap = w.Snapshot()
@@ -328,7 +340,7 @@ func TestFrozenParticleNeverMoves(t *testing.T) {
 	w := newWorld(t, []int{10, 10}, core.Params{Lambda: 4, Gamma: 4})
 	w.SetFrozen(3, true)
 	pos := w.parts[3].pos
-	RunSequential(w, 200000, 21)
+	runSequential(t, w, 200000, 21)
 	if w.parts[3].pos != pos {
 		t.Fatalf("frozen particle moved from %v to %v", pos, w.parts[3].pos)
 	}

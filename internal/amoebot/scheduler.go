@@ -28,26 +28,17 @@ const cancelCheckInterval = 4096
 // the particle and then its activation from one buffered stream exactly
 // as core.Chain.Step does, so from seed s it is the chain from seed s step
 // for step until a proposal targets a cell outside the arena.
-func RunSequential(w *World, activations uint64, seed uint64) Result {
-	res, _ := RunSequentialContext(context.Background(), w, activations, seed)
-	return res
-}
-
-// RunSequentialContext is RunSequential with cancellation: it polls ctx
-// every cancelCheckInterval activations and returns early with ctx's error
-// if the context is done. Result.Activations reports the activations
-// actually performed.
-func RunSequentialContext(ctx context.Context, w *World, activations uint64, seed uint64) (Result, error) {
-	return RunSequentialFault(ctx, w, activations, seed, nil)
-}
-
-// RunSequentialFault is RunSequentialContext under a fault injector: each
-// activation slot first consults the injector's stream 0, which may drop
-// the slot (crash-stopped or lossy source). The world is audited at its
-// configured cadence and after every injected crash-recovery; an audit
-// failure aborts the run with the *psys.InvariantError. inj may be nil.
-// A sequential faulty run is exactly reproducible from (seed, fault seed).
-func RunSequentialFault(ctx context.Context, w *World, activations uint64, seed uint64, inj *fault.Injector) (Result, error) {
+//
+// It polls ctx every cancelCheckInterval activations and returns early
+// with ctx's error if the context is done; Result.Activations reports the
+// activations actually performed. Under a fault injector inj (nil for
+// none), each activation slot first consults the injector's stream 0,
+// which may drop the slot (crash-stopped or lossy source). The world is
+// audited at its configured cadence and after every injected
+// crash-recovery; an audit failure aborts the run with the
+// *psys.InvariantError. A sequential faulty run is exactly reproducible
+// from (seed, fault seed).
+func RunSequential(ctx context.Context, w *World, activations uint64, seed uint64, inj *fault.Injector) (Result, error) {
 	r := rng.NewBuffered(seed)
 	var res Result
 	var stream *fault.Stream
@@ -114,28 +105,18 @@ var ErrNoWorkers = errors.New("amoebot: need at least one worker")
 // random stream. Conflicting activations are serialized by the runtime's
 // region locks, so any concurrent execution is equivalent to a sequential
 // activation order (§2.1).
-func RunConcurrent(w *World, activations uint64, workers int, seed uint64) (Result, error) {
-	return RunConcurrentContext(context.Background(), w, activations, workers, seed)
-}
-
-// RunConcurrentContext is RunConcurrent with cancellation: every worker
-// polls ctx between batches of activations, so cancelling returns promptly
-// with the activations performed so far and ctx's error. A cancelled run
-// leaves the world in a valid quiescent state — only fewer activations
-// happened.
-func RunConcurrentContext(ctx context.Context, w *World, activations uint64, workers int, seed uint64) (Result, error) {
-	return RunConcurrentFault(ctx, w, activations, workers, seed, nil)
-}
-
-// RunConcurrentFault is RunConcurrentContext under a fault injector: worker
+//
+// Every worker polls ctx between batches of activations, so cancelling
+// returns promptly with the activations performed so far and ctx's error;
+// a cancelled run leaves the world in a valid quiescent state — only fewer
+// activations happened. Under a fault injector inj (nil for none), worker
 // wi draws its fault schedule from the injector's stream wi, so sources
 // crash-stop, restart and drop activations deterministically per source
-// (only the interleaving varies across runs). Stalls are injected at the
-// activations' lock boundaries. The world is audited at its configured
+// (only the interleaving varies across runs), and stalls are injected at
+// the activations' lock boundaries. The world is audited at its configured
 // cadence and after every crash-recovery; the first audit failure stops all
-// workers and is returned as a *psys.InvariantError. inj may be nil, which
-// is exactly RunConcurrentContext.
-func RunConcurrentFault(ctx context.Context, w *World, activations uint64, workers int, seed uint64, inj *fault.Injector) (Result, error) {
+// workers and is returned as a *psys.InvariantError.
+func RunConcurrent(ctx context.Context, w *World, activations uint64, workers int, seed uint64, inj *fault.Injector) (Result, error) {
 	if workers < 1 {
 		return Result{}, ErrNoWorkers
 	}

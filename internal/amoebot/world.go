@@ -213,12 +213,13 @@ func (w *World) Energy() float64 { return w.rule.Model().Energy(w.Snapshot(), w.
 func (w *World) Snapshot() *psys.Config {
 	w.global.Lock()
 	defer w.global.Unlock()
-	cfg := psys.New()
-	for _, p := range w.parts {
-		c := w.cellAt(p.pos)
-		if err := cfg.Place(p.pos, c.color); err != nil {
-			panic(fmt.Sprintf("amoebot: corrupt world: %v", err))
-		}
+	particles := make([]psys.Particle, len(w.parts))
+	for i, p := range w.parts {
+		particles[i] = psys.Particle{Pos: p.pos, Color: w.cellAt(p.pos).color}
+	}
+	cfg, err := psys.NewFrom(particles)
+	if err != nil {
+		panic(fmt.Sprintf("amoebot: corrupt world: %v", err))
 	}
 	return cfg
 }
@@ -269,8 +270,8 @@ func (w *World) Audit() error {
 func (w *World) auditSnapshot() (*psys.Config, error) {
 	w.global.Lock()
 	defer w.global.Unlock()
-	cfg := psys.New()
-	for _, p := range w.parts {
+	particles := make([]psys.Particle, len(w.parts))
+	for i, p := range w.parts {
 		c := w.cellAt(p.pos)
 		if !c.occupied {
 			return nil, &psys.InvariantError{Property: "registry",
@@ -280,10 +281,12 @@ func (w *World) auditSnapshot() (*psys.Config, error) {
 			return nil, &psys.InvariantError{Property: "registry",
 				Detail: fmt.Sprintf("grid cell %v claims particle %d, registry says %d", p.pos, c.particle, p.id)}
 		}
-		if err := cfg.Place(p.pos, c.color); err != nil {
-			return nil, &psys.InvariantError{Property: "registry",
-				Detail: fmt.Sprintf("particles %v share a cell: %v", p.pos, err)}
-		}
+		particles[i] = psys.Particle{Pos: p.pos, Color: c.color}
+	}
+	cfg, err := psys.NewFrom(particles)
+	if err != nil {
+		return nil, &psys.InvariantError{Property: "registry",
+			Detail: fmt.Sprintf("registry does not form a configuration: %v", err)}
 	}
 	return cfg, nil
 }

@@ -105,10 +105,10 @@ type Chain struct {
 	// positions and posIndex implement O(1) uniform particle selection.
 	// positions[i] is the location of particle slot i; posIndex mirrors the
 	// configuration's dense storage window (posWin) and holds the slot of
-	// the particle at each window vertex, or -1 when vacant. The chain's
-	// state space is connected configurations, which psys keeps fully dense,
-	// so every particle position always indexes into the window; posIndex is
-	// rebuilt on the rare steps where the window itself moves.
+	// the particle at each window vertex, or -1 when vacant. psys keeps
+	// every particle in its window, so every particle position always
+	// indexes into it; posIndex is rebuilt on the rare steps where the
+	// window itself moves.
 	positions []lattice.Point
 	posWin    lattice.Window
 	posIndex  []int32

@@ -85,8 +85,8 @@ func (p Point) Neighbors() [NumDirections]Point {
 // The second result is false if q is not adjacent to p.
 func (p Point) DirectionTo(q Point) (Direction, bool) {
 	d := q.Sub(p)
-	for i, off := range directions {
-		if d == off {
+	for i := range directions {
+		if directions[i] == d {
 			return Direction(i), true
 		}
 	}

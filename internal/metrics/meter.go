@@ -46,16 +46,8 @@ func (m *Meter) minPerimeter(n int) int {
 // cell bytes by index, using reusable scratch: it scans the cells for
 // particles of color c and steps to neighbors by the window's constant
 // index offsets, which the vacant border ring keeps inside the store for
-// every particle. Configurations with overflow particles (never produced
-// by a chain) fall back to the allocating Clusters path.
+// every particle.
 func (m *Meter) largestClusterSize(cfg *psys.Config, c psys.Color) int {
-	if !cfg.DenseOnly() {
-		cls := Clusters(cfg, c)
-		if len(cls) == 0 {
-			return 0
-		}
-		return len(cls[0])
-	}
 	// The fill runs on a scratch copy of the cells and clears each cell of
 	// color c as it is reached, so the copy is its own visited set.
 	grid := append(m.grid[:0], cfg.Cells()...)

@@ -1,6 +1,7 @@
 package psys
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -24,8 +25,8 @@ type diffOp struct {
 
 // diffSeq generates operation sequences clustered on a small patch of the
 // lattice (so removes, moves and swaps actually hit particles) with a few
-// far-flung placements mixed in to cross window growth, compaction and
-// overflow-budget boundaries.
+// far-flung placements mixed in to cross window growth, compaction and the
+// area budget.
 type diffSeq []diffOp
 
 func (diffSeq) Generate(r *rand.Rand, size int) reflect.Value {
@@ -35,8 +36,8 @@ func (diffSeq) Generate(r *rand.Rand, size int) reflect.Value {
 		p := lattice.Point{Q: r.Intn(13) - 6, R: r.Intn(13) - 6}
 		switch r.Intn(40) {
 		case 0:
-			// Far placement: forces window growth well past the area
-			// budget, exercising the overflow spill and its release.
+			// Far placement: would need a window well past the area
+			// budget, so the dense store refuses it with ErrSpread.
 			p.Q *= 1 << 20
 			p.R *= 1 << 20
 		case 1:
@@ -54,24 +55,61 @@ func (diffSeq) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(seq)
 }
 
-// applyBoth applies op to both stores and checks the error verdicts agree.
-func applyBoth(c *Config, ref *refConfig, op diffOp) error {
-	var errC, errR error
+// opStore is the mutation surface the dense Config, the reference store
+// and the tile store share.
+type opStore interface {
+	Place(p lattice.Point, col Color) error
+	Remove(p lattice.Point) error
+	ApplyMove(l, lp lattice.Point) error
+	ApplySwap(l, lp lattice.Point) error
+}
+
+// apply performs op on s.
+func (op diffOp) apply(s opStore) error {
 	switch op.Kind {
 	case 0:
-		errC = c.Place(op.P, op.Col)
-		errR = ref.Place(op.P, op.Col)
+		return s.Place(op.P, op.Col)
 	case 1:
-		errC = c.Remove(op.P)
-		errR = ref.Remove(op.P)
+		return s.Remove(op.P)
 	case 2:
-		errC = c.ApplyMove(op.P, op.P.Neighbor(op.D))
-		errR = ref.ApplyMove(op.P, op.P.Neighbor(op.D))
-	case 3:
-		errC = c.ApplySwap(op.P, op.P.Neighbor(op.D))
-		errR = ref.ApplySwap(op.P, op.P.Neighbor(op.D))
+		return s.ApplyMove(op.P, op.P.Neighbor(op.D))
 	}
-	if (errC == nil) != (errR == nil) {
+	return s.ApplySwap(op.P, op.P.Neighbor(op.D))
+}
+
+// applyDense performs op on the dense store. An operation the store
+// refuses with ErrSpread must leave it Equal to a clone taken before, with
+// the same statistics and clean counts; refused then tells the caller to
+// skip the operation on the other store, which has no area budget.
+func applyDense(c *Config, op diffOp) (refused bool, err error) {
+	before := c.Clone()
+	err = op.apply(c)
+	if !errors.Is(err, ErrSpread) {
+		return false, err
+	}
+	if err := sameAs(c, before); err != nil {
+		return true, fmt.Errorf("refused op %+v: %v", op, err)
+	}
+	return true, nil
+}
+
+// sameAs checks that c still holds before's configuration and statistics
+// and audits clean.
+func sameAs(c, before *Config) error {
+	if !c.Equal(before) || c.Edges() != before.Edges() || c.HomEdges() != before.HomEdges() {
+		return fmt.Errorf("store changed: n %d→%d, e %d→%d, a %d→%d",
+			before.N(), c.N(), before.Edges(), c.Edges(), before.HomEdges(), c.HomEdges())
+	}
+	return c.CheckCounts()
+}
+
+// applyBoth applies op to both stores and checks the error verdicts agree.
+func applyBoth(c *Config, ref *refConfig, op diffOp) error {
+	refused, errC := applyDense(c, op)
+	if refused {
+		return errC
+	}
+	if errR := op.apply(ref); (errC == nil) != (errR == nil) {
 		return fmt.Errorf("op %+v: dense err %v, reference err %v", op, errC, errR)
 	}
 	return nil
@@ -203,32 +241,123 @@ func mustBoth(t *testing.T, c *Config, ref *refConfig, p lattice.Point, col Colo
 	}
 }
 
-// TestConnectedStaysDense: connected configurations — the chain's entire
-// state space — must never spill to the overflow map, even when their
-// bounding box sprawls far beyond their particle count (an L shape has
-// bounding-box area ~(n/2)² with only n occupied cells). The chain's dense
-// position index relies on this guarantee.
-func TestConnectedStaysDense(t *testing.T) {
-	c := New()
-	arm := 100
-	for i := 0; i <= arm; i++ {
-		if err := c.Place(lattice.Point{Q: i}, 0); err != nil {
+// TestConnectedNeverRefused: connected configurations — the chain's entire
+// state space — always fit the window budget, whatever their shape, and
+// every particle lives in the window's interior. A (1,−1) diagonal string
+// spans n cells along both axes, the most a connected configuration can.
+// It is built in order with Place, then through NewFrom in shuffled order,
+// and then a valid move at the window's edge must grow the window through
+// ApplyMove's general path. The chain's particle index relies on this.
+func TestConnectedNeverRefused(t *testing.T) {
+	const n = 3000
+	diag := make([]Particle, n)
+	for i := range diag {
+		diag[i] = Particle{Pos: lattice.Point{Q: i, R: -i}, Color: Color(i % 2)}
+	}
+	placed := New()
+	for _, pt := range diag {
+		if err := placed.Place(pt.Pos, pt.Color); err != nil {
+			t.Fatalf("place %v after %d particles: %v", pt.Pos, placed.N(), err)
+		}
+		if !placed.Window().Interior(pt.Pos) {
+			t.Fatalf("particle %v outside the window interior %+v", pt.Pos, placed.Window())
+		}
+	}
+	shuffled := append([]Particle(nil), diag...)
+	rand.New(rand.NewSource(5)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	c, err := NewFrom(shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []*Config{placed, c} {
+		if !cfg.Equal(c) || cfg.Edges() != n-1 {
+			t.Fatalf("string: n=%d e=%d, want the %d-particle string", cfg.N(), cfg.Edges(), n)
+		}
+		if err := cfg.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for j := 1; j <= arm; j++ {
-		if err := c.Place(lattice.Point{R: j}, 1); err != nil {
+
+	// Run an arm east from the string's end to the window's last interior
+	// column, where l = (a, b) is the arm's tip, and put two particles
+	// above the arm's last two cells. Moving l east to lp = (a+1, b) keeps
+	// the configuration connected through (a, b+1), and lp is on the
+	// border ring, so the move must grow the window.
+	end := diag[n-1].Pos
+	a := c.Window().Max().Q - 1
+	for q := end.Q + 1; q <= a; q++ {
+		if err := c.Place(lattice.Point{Q: q, R: end.R}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !c.Connected() {
-		t.Fatal("L shape must be connected")
+	l := lattice.Point{Q: a, R: end.R}
+	for _, p := range []lattice.Point{{Q: a - 1, R: end.R + 1}, {Q: a, R: end.R + 1}} {
+		if err := c.Place(p, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !c.DenseOnly() {
-		t.Fatal("connected configuration spilled to the overflow map")
+	lp := l.Neighbor(0)
+	win := c.Window()
+	if win.Interior2(l) || win.Interior(lp) {
+		t.Fatalf("move %v→%v is not at the edge of window %+v", l, lp, win)
+	}
+	if !c.MoveValid(l, lp) {
+		t.Fatalf("move %v→%v should be valid", l, lp)
+	}
+	if err := c.ApplyMove(l, lp); err != nil {
+		t.Fatal(err)
+	}
+	if c.Window() == win || !c.Window().Interior(lp) {
+		t.Fatalf("window %+v did not grow around %v", c.Window(), lp)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefusedOpsLeaveConfig: a Place, ApplyMove or ApplySwap that returns
+// an error leaves the Config Equal to a clone taken before it, with clean
+// counts. Placements and moves past the area budget fail with ErrSpread.
+func TestRefusedOpsLeaveConfig(t *testing.T) {
+	// The tight cover of these three particles fills the 32×32-cell
+	// budget of a few particles.
+	c := New()
+	for _, pt := range []Particle{{lattice.Point{}, 0}, {lattice.Point{Q: 1}, 1}, {lattice.Point{Q: 13, R: -13}, 1}} {
+		if err := c.Place(pt.Pos, pt.Color); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A particle in the window's last interior column: placing it does not
+	// grow the window, and moving it east would need a window 41 cells
+	// wide and 32 tall, past the budget.
+	edge := lattice.Point{Q: c.Window().Max().Q - 1, R: -13}
+	if err := c.Place(edge, 0); err != nil {
+		t.Fatal(err)
+	}
+	far := lattice.Point{Q: 1 << 30}
+	cases := []struct {
+		name string
+		op   func() error
+		want error
+	}{
+		{"place far", func() error { return c.Place(far, 0) }, ErrSpread},
+		{"place occupied", func() error { return c.Place(edge, 1) }, ErrOccupied},
+		{"place color", func() error { return c.Place(lattice.Point{R: 3}, MaxColors) }, ErrColorRange},
+		{"move past budget", func() error { return c.ApplyMove(edge, edge.Neighbor(0)) }, ErrSpread},
+		{"move from vacant", func() error { return c.ApplyMove(lattice.Point{Q: 5}, lattice.Point{Q: 6}) }, ErrVacant},
+		{"move onto particle", func() error { return c.ApplyMove(lattice.Point{}, lattice.Point{Q: 1}) }, ErrOccupied},
+		{"move not adjacent", func() error { return c.ApplyMove(lattice.Point{}, lattice.Point{Q: 2}) }, ErrNotAdjacent},
+		{"swap with vacant", func() error { return c.ApplySwap(edge, edge.Neighbor(0)) }, ErrVacant},
+		{"swap not adjacent", func() error { return c.ApplySwap(lattice.Point{}, lattice.Point{Q: 13}) }, ErrNotAdjacent},
+	}
+	for _, tc := range cases {
+		before := c.Clone()
+		if err := tc.op(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err %v, want %v", tc.name, err, tc.want)
+		}
+		if err := sameAs(c, before); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package psys
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"sops/internal/lattice"
@@ -15,8 +16,9 @@ import (
 // FuzzGridWindow fuzzes the dense store's window machinery: an arbitrary
 // byte string decodes to a stream of place/remove/move/swap operations whose
 // coordinates span several scales, so sequences repeatedly grow the window,
-// trigger reindexing copies and compaction, and cross the overflow-budget
-// boundary in both directions. Every operation is mirrored on the map-backed
+// trigger reindexing copies and compaction, and cross the area budget, past
+// which the dense store refuses placements and moves with ErrSpread and must
+// stay unchanged. Every other operation is mirrored on the map-backed
 // reference store; verdicts and observables must agree, and the dense store's
 // raw-storage audit (CheckCounts) must stay clean throughout. Connected
 // hole-free end states must additionally pass the full invariant audit.
@@ -36,7 +38,7 @@ func FuzzGridWindow(f *testing.F) {
 			b0, b1, b2, b3 := data[0], data[1], data[2], data[3]
 			data = data[4:]
 			// Bits 6–7 of b0 pick the coordinate scale: small patches keep
-			// operations colliding, large scales force regrows and spills.
+			// operations colliding, large scales force regrows and refusals.
 			scale := [4]int{1, 19, 1 << 11, 1 << 24}[b0>>6&3]
 			p := lattice.Point{Q: int(int8(b1)) * scale, R: int(int8(b2)) * scale}
 			op := diffOp{
@@ -67,7 +69,8 @@ func FuzzGridWindow(f *testing.F) {
 // FuzzGatherKernel fuzzes the packed-neighborhood proposal kernel: an
 // arbitrary byte string decodes to particle placements at mixed coordinate
 // scales (small patches for dense collisions, large spreads for window
-// growth and overflow spills) plus a set of probe anchors, and every
+// growth and for placements the window refuses with ErrSpread, which must
+// leave the store unchanged) plus a set of probe anchors, and every
 // (anchor, direction) gather must agree with the readable reference
 // implementations — Degree/DegreeExcluding, ColorDegree*, Property4 and
 // Property5 — on occupancy bits, packed colors, move validity and both
@@ -76,7 +79,7 @@ func FuzzGridWindow(f *testing.F) {
 func FuzzGatherKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 1, 1})
-	// A small blob plus a remote particle (overflow / fallback path).
+	// A small blob plus a remote particle, refused with ErrSpread.
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 0, 2, 0xc0, 9, 9, 1})
 	// Line of alternating colors: swap-heavy neighborhoods.
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 0, 3, 0, 1, 4, 0})
@@ -89,7 +92,13 @@ func FuzzGatherKernel(f *testing.F) {
 			data = data[3:]
 			scale := [4]int{1, 7, 1 << 12, 1 << 27}[b0>>6&3]
 			p := lattice.Point{Q: int(int8(b1)) % 12 * scale, R: int(int8(b2)) % 12 * scale}
-			_ = c.Place(p, Color(b0&7)) // occupied nodes rejected, fine
+			// Occupied nodes and out-of-range colors are rejected, fine.
+			before := c.Clone()
+			if err := c.Place(p, Color(b0&7)); errors.Is(err, ErrSpread) {
+				if err := sameAs(c, before); err != nil {
+					t.Fatalf("refused place at %v: %v", p, err)
+				}
+			}
 			anchors = append(anchors, p)
 			if len(anchors) >= 24 {
 				break
@@ -120,6 +129,21 @@ func FuzzConfigJSON(f *testing.F) {
 	// precondition, not the codec's).
 	f.Add([]byte(`{"particles":[{"q":0,"r":0,"color":0},{"q":9,"r":9,"color":0}]}`))
 	f.Add([]byte(`{"particles":[{"q":-2147483648,"r":2147483647,"color":15}]}`))
+	// A connected 100-particle (1,−1) diagonal string, the widest box a
+	// connected configuration can have: accepted.
+	diag := make([]Particle, 100)
+	for i := range diag {
+		diag[i] = Particle{Pos: lattice.Point{Q: i, R: -i}, Color: Color(i % 2)}
+	}
+	if cfg, err := NewFrom(diag); err == nil {
+		if js, err := cfg.MarshalJSON(); err == nil {
+			f.Add(js)
+		}
+	}
+	// Two particles 2³⁰ cells apart, or one at the edge of int's range:
+	// refused with ErrSpread.
+	f.Add([]byte(`{"particles":[{"q":0,"r":0,"color":0},{"q":1073741824,"r":0,"color":1}]}`))
+	f.Add([]byte(`{"particles":[{"q":9223372036854775807,"r":0,"color":0}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
 

@@ -156,24 +156,17 @@ func (c *Config) rebuildPairOffsets() {
 }
 
 // GatherPair reads the joint neighborhood of l and lp = l.Neighbor(dir)
-// in one pass. For fully dense configurations with l at depth ≥ 2 in the
-// storage window — every step of a warmed-up chain — the 10 cells (ring,
-// l, lp) are 10 flat array loads at precomputed offsets; otherwise it
-// falls back to GatherPairFrom over the general per-point read path,
-// producing the identical packed view.
+// in one pass. With l at depth ≥ 2 in the storage window — every step of a
+// warmed-up chain — every ring cell, and lp, which is then interior, sits
+// at a constant index offset from l, so the 10 cells (ring, l, lp) are 10
+// flat array loads at precomputed offsets; otherwise it falls back to
+// GatherPairFrom over the general per-point read path, producing the
+// identical packed view.
 func (c *Config) GatherPair(l lattice.Point, dir lattice.Direction) PairGather {
-	if c.pairDense(l) {
+	if c.win.Interior2(l) {
 		return c.gatherAt(c.win.Index(l), dir)
 	}
 	return GatherPairFrom(c.colorAt, l, dir)
-}
-
-// pairDense reports whether the single-gather fast path covers proposals
-// from l: a fully dense store with l at window depth ≥ 2, so every cell of
-// the pair ring — and lp, which is then interior — sits at a constant
-// index offset from l.
-func (c *Config) pairDense(l lattice.Point) bool {
-	return c.overflow == nil && c.win.Interior2(l)
 }
 
 // gatherAt is GatherPair's fast path for l at dense-store index base.

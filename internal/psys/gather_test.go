@@ -95,35 +95,6 @@ func TestGatherPairMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGatherPairOverflowStore verifies the gather's fallback path on a
-// configuration with overflow (non-dense) particles: adversarially
-// spread points that exceed the window budget.
-func TestGatherPairOverflowStore(t *testing.T) {
-	c := New()
-	if err := c.Place(lattice.Point{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Place(lattice.Point{Q: 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Far particle: forces the overflow store.
-	far := lattice.Point{Q: 1 << 28, R: -(1 << 28)}
-	if err := c.Place(far, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Place(far.Neighbor(0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if c.DenseOnly() {
-		t.Fatal("expected an overflow store")
-	}
-	for _, anchor := range []lattice.Point{{}, {Q: 1}, far, far.Neighbor(0)} {
-		for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
-			checkGatherAgainstReference(t, c, anchor, d)
-		}
-	}
-}
-
 // TestOccMaskExhaustive checks the branch-free occupancy mask on all 256
 // lane patterns. Occupied lanes hold the extreme bytes 0x01, 0x7f, 0x80
 // and 0xff, then random nonzero bytes: the SWAR test must report a lane
@@ -175,7 +146,7 @@ func TestRingCommitMatchesRemovePlace(t *testing.T) {
 					}
 				}
 				fast := mustConfig(t, parts)
-				if !fast.pairDense(l) {
+				if !fast.win.Interior2(l) {
 					t.Fatalf("dir=%v occ=%#x: l not on the fast path", dir, occ)
 				}
 				slow := fast.Clone()

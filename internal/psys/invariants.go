@@ -1,15 +1,11 @@
 package psys
 
-import (
-	"fmt"
-
-	"sops/internal/lattice"
-)
+import "fmt"
 
 // Names of the auditable invariant properties, as reported in
 // InvariantError.Property.
 const (
-	InvStorage   = "storage"       // dense window / overflow layout invariants
+	InvStorage   = "storage"       // window layout invariants
 	InvOccupancy = "occupancy"     // particle/color counts agree with the stored occupancy
 	InvEdges     = "edges"         // cached e(σ) and a(σ) agree with a recount
 	InvConnected = "connectivity"  // the configuration is connected
@@ -30,16 +26,23 @@ func (e *InvariantError) Error() string {
 }
 
 // CheckCounts audits the configuration's internal bookkeeping: the storage
-// layout invariants (every dense particle interior to the window, every
-// overflow particle outside the interior, no node stored twice), the
-// particle count, per-color counts, and cached edge statistics — all against
-// a full recount of the raw storage, deliberately not trusting any cached
-// field. It applies to any configuration, connected or not, and returns a
+// layout invariant (every particle interior to the window), the particle
+// count, per-color counts, and cached edge statistics — all against a full
+// recount of the raw storage, deliberately not trusting any cached field.
+// It applies to any configuration, connected or not, and returns a
 // structured *InvariantError naming the first violated property.
 func (c *Config) CheckCounts() error {
 	var colors [MaxColors]int
 	stored, edges, hom := 0, 0, 0
-	audit := func(p lattice.Point, col Color) *InvariantError {
+	for i, v := range c.cells {
+		if v == 0 {
+			continue
+		}
+		p, col := c.win.PointAt(i), Color(v-1)
+		if !c.win.Interior(p) {
+			return &InvariantError{InvStorage,
+				fmt.Sprintf("particle at %v on the window border ring", p)}
+		}
 		if col >= MaxColors {
 			return &InvariantError{InvOccupancy,
 				fmt.Sprintf("node %v has out-of-range color %d", p, col)}
@@ -53,39 +56,6 @@ func (c *Config) CheckCounts() error {
 					hom++
 				}
 			}
-		}
-		return nil
-	}
-	// Raw scan of the dense window.
-	for i, v := range c.cells {
-		if v == 0 {
-			continue
-		}
-		p := c.win.PointAt(i)
-		if !c.win.Interior(p) {
-			return &InvariantError{InvStorage,
-				fmt.Sprintf("dense particle at %v on the window border ring", p)}
-		}
-		if err := audit(p, Color(v-1)); err != nil {
-			return err
-		}
-	}
-	// Raw scan of the overflow map.
-	if c.overflow != nil && len(c.overflow) == 0 {
-		return &InvariantError{InvStorage, "empty overflow map not released"}
-	}
-	for k, col := range c.overflow {
-		p := unkey(k)
-		if c.win.Interior(p) {
-			return &InvariantError{InvStorage,
-				fmt.Sprintf("overflow particle at %v inside the window interior", p)}
-		}
-		if c.win.Contains(p) && c.cells[c.win.Index(p)] != 0 {
-			return &InvariantError{InvStorage,
-				fmt.Sprintf("node %v stored both densely and in overflow", p)}
-		}
-		if err := audit(p, col); err != nil {
-			return err
 		}
 	}
 	if stored != c.n {

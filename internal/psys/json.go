@@ -33,18 +33,21 @@ func (c *Config) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON replaces the configuration with the encoded one, rebuilding
-// all derived statistics. It fails on duplicate positions or out-of-range
-// colors and leaves the receiver unchanged on error.
+// all derived statistics through NewFrom. It fails on duplicate positions,
+// out-of-range colors or particles too far apart for the window budget
+// (ErrSpread), and leaves the receiver unchanged on error.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var wire configJSON
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return fmt.Errorf("psys: decode configuration: %w", err)
 	}
-	fresh := New()
-	for _, p := range wire.Particles {
-		if err := fresh.Place(lattice.Point{Q: p.Q, R: p.R}, p.Color); err != nil {
-			return fmt.Errorf("psys: decode particle (%d,%d): %w", p.Q, p.R, err)
-		}
+	particles := make([]Particle, len(wire.Particles))
+	for i, p := range wire.Particles {
+		particles[i] = Particle{Pos: lattice.Point{Q: p.Q, R: p.R}, Color: p.Color}
+	}
+	fresh, err := NewFrom(particles)
+	if err != nil {
+		return fmt.Errorf("psys: decode configuration: %w", err)
 	}
 	*c = *fresh
 	return nil

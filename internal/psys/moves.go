@@ -89,13 +89,14 @@ func (c *Config) MoveValid(l, lp lattice.Point) bool {
 // the changed edges are exactly the occupied ring cells adjacent to lp
 // minus those adjacent to l (MoveExponents), which is what Remove(l) and
 // Place(lp) would count, and lp is interior, so the window never grows.
-// Elsewhere it is Remove(l) then Place(lp).
+// Elsewhere it is Remove(l) then Place(lp); if Place refuses lp with
+// ErrSpread, the particle goes back to l and the Config is unchanged.
 func (c *Config) ApplyMove(l, lp lattice.Point) error {
 	dir, ok := l.DirectionTo(lp)
 	if !ok {
 		return ErrNotAdjacent
 	}
-	if c.pairDense(l) {
+	if c.win.Interior2(l) {
 		base := c.win.Index(l)
 		g := c.gatherAt(base, dir)
 		col, ok := g.LColor()
@@ -122,7 +123,13 @@ func (c *Config) ApplyMove(l, lp lattice.Point) error {
 	if err := c.Remove(l); err != nil {
 		return err
 	}
-	return c.Place(lp, col)
+	if err := c.Place(lp, col); err != nil {
+		// l is vacant now and interior to the unchanged window, so
+		// putting the particle back cannot fail.
+		_ = c.Place(l, col)
+		return fmt.Errorf("move to %v: %w", lp, err)
+	}
+	return nil
 }
 
 // ApplySwap exchanges the particles at adjacent occupied nodes l and lp
@@ -135,7 +142,7 @@ func (c *Config) ApplySwap(l, lp lattice.Point) error {
 	if !ok {
 		return ErrNotAdjacent
 	}
-	if c.pairDense(l) {
+	if c.win.Interior2(l) {
 		base := c.win.Index(l)
 		g := c.gatherAt(base, dir)
 		cl, clp := uint8(g.ends), uint8(g.ends>>8)

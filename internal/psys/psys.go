@@ -22,18 +22,27 @@
 // Occupancy lives in a dense flat byte array indexed by a lattice.Window
 // over the configuration's bounding box (with slack for drift), so the
 // neighborhood queries on the Markov chain's hot path are plain array loads
-// instead of hash lookups. The window grows automatically as the
-// configuration expands, keeping a vacant border ring so that every stored
-// particle sits in the window's interior. Configurations whose bounding box
-// would be disproportionately large relative to their particle count
-// (possible only for disconnected point sets, e.g. two particles 2³¹ cells
-// apart) spill the remote particles into a small overflow map; connected
-// configurations — the chain's entire state space — are always fully dense.
+// instead of hash lookups. The window is the only store. It grows
+// automatically as the configuration expands, keeping a vacant border ring
+// so that every particle sits in the window's interior, and its area is
+// capped by a budget of (n + 2·growMargin(n))² cells for n particles. A
+// connected configuration spans at most n cells along each axis, so every
+// connected configuration — the chain's entire state space — fits the
+// budget. A placement that would need a larger window (possible only for
+// point sets spread far apart, e.g. two particles 2³⁰ cells apart) is
+// refused with ErrSpread and leaves the Config unchanged.
+//
+// Place grows the window one particle at a time and checks the budget for
+// the count after the placement, so any connected growth order (each
+// particle adjacent to one already placed) succeeds. To build from a list
+// in any other order — a decoded file, a snapshot of another store — use
+// NewFrom, which checks the budget once for the whole list.
 package psys
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sops/internal/lattice"
 )
@@ -56,16 +65,13 @@ type Particle struct {
 // Config is a heterogeneous particle-system configuration. It is not safe
 // for concurrent mutation; the amoebot runtime provides synchronization.
 type Config struct {
-	// win and cells are the dense store: cells[win.Index(p)] is 0 for a
-	// vacant vertex and col+1 for a particle of color col. Invariants: every
-	// dense particle lies in win.Interior (the border ring is vacant), and
-	// the window never shrinks during a Config's lifetime.
+	// win and cells are the configuration's one store: cells[win.Index(p)]
+	// is 0 for a vacant vertex and col+1 for a particle of color col.
+	// Invariants: every particle lies in win.Interior (the border ring is
+	// vacant), and the window is re-homed only by grow or NewFrom, each
+	// within the area budget for the particle count it grows for.
 	win   lattice.Window
 	cells []uint8
-	// overflow holds particles whose window growth was refused by the area
-	// budget; nil until first needed. Overflow particles are never in
-	// win.Interior.
-	overflow map[uint64]Color
 
 	n          int
 	edges      int
@@ -90,26 +96,41 @@ var (
 	ErrNotAdjacent = errors.New("psys: nodes are not adjacent")
 	// ErrColorRange is returned for colors outside [0, MaxColors).
 	ErrColorRange = errors.New("psys: color out of range")
+	// ErrSpread is returned when particles lie too far apart for their
+	// count: the window covering them would exceed the area budget, or
+	// its corners would pass the range of int. Connected configurations
+	// never cause it.
+	ErrSpread = errors.New("psys: particles too far apart for the window budget")
 )
-
-func key(p lattice.Point) uint64 {
-	return uint64(uint32(p.Q))<<32 | uint64(uint32(p.R))
-}
-
-func unkey(k uint64) lattice.Point {
-	return lattice.Point{Q: int(int32(k >> 32)), R: int(int32(k))}
-}
 
 // New returns an empty configuration.
 func New() *Config {
 	return &Config{}
 }
 
-// NewFrom builds a configuration from particles. It fails if any two
-// particles share a location or a color is out of range. It does not require
-// connectivity; call Connected to check.
+// NewFrom builds a configuration from particles given in any order. It
+// checks the area budget once for the whole list and sizes the window once,
+// to the list's bounding box plus margin, before placing the particles, so
+// the result does not depend on the list's order. It fails with ErrSpread
+// if the particles lie too far apart for their count, with ErrOccupied if
+// two share a location and with ErrColorRange for a color out of range. It
+// does not require connectivity; call Connected to check.
 func NewFrom(particles []Particle) (*Config, error) {
 	c := New()
+	if len(particles) == 0 {
+		return c, nil
+	}
+	lo, hi := particles[0].Pos, particles[0].Pos
+	for _, pt := range particles {
+		lo, hi = stretch(lo, hi, pt.Pos)
+	}
+	n := len(particles)
+	win, ok := coverWithin(lo, hi, growMargin(n), windowBudget(n))
+	if !ok {
+		return nil, fmt.Errorf("%d particles spanning %v..%v: %w", n, lo, hi, ErrSpread)
+	}
+	c.win, c.cells = win, make([]uint8, win.Area())
+	c.rebuildPairOffsets()
 	for _, pt := range particles {
 		if err := c.Place(pt.Pos, pt.Color); err != nil {
 			return nil, fmt.Errorf("particle at %v: %w", pt.Pos, err)
@@ -118,16 +139,12 @@ func NewFrom(particles []Particle) (*Config, error) {
 	return c, nil
 }
 
-// colorAt is the single read path over both stores.
+// colorAt is the single read path of the store.
 func (c *Config) colorAt(p lattice.Point) (Color, bool) {
 	if c.win.Contains(p) {
 		if v := c.cells[c.win.Index(p)]; v != 0 {
 			return Color(v - 1), true
 		}
-	}
-	if c.overflow != nil {
-		col, ok := c.overflow[key(p)]
-		return col, ok
 	}
 	return 0, false
 }
@@ -143,15 +160,13 @@ func growMargin(n int) int {
 	return m
 }
 
-// windowBudget caps the dense window's area (in cells, one byte each).
-// A connected configuration of n particles has per-axis span at most n
-// (its graph diameter bounds every coordinate difference), so the budget
-// (n + 2·margin)² admits every connected configuration — the chain's entire
-// state space stays dense unconditionally. Only adversarial sparse point
-// sets (far-apart disconnected particles) exceed it and spill to the
-// overflow map.
-func (c *Config) windowBudget() int {
-	s := c.n + 2*growMargin(c.n)
+// windowBudget caps the dense window's area (in cells, one byte each) for
+// n particles. A connected configuration of n particles has per-axis span
+// at most n (its graph diameter bounds every coordinate difference), so the
+// budget (n + 2·margin)² admits every connected configuration. Only sparse
+// point sets (far-apart disconnected particles) exceed it.
+func windowBudget(n int) int {
+	s := n + 2*growMargin(n)
 	b := s * s
 	if b < 1024 {
 		b = 1024
@@ -170,9 +185,12 @@ func spanWithin(lo, hi, margin, limit int) bool {
 }
 
 // coverWithin returns the margin-inflated window over the box [lo, hi] if
-// its area fits the budget.
+// its area fits the budget and its corners stay within the range of int.
 func coverWithin(lo, hi lattice.Point, margin, budget int) (lattice.Window, bool) {
 	if !spanWithin(lo.Q, hi.Q, margin, budget) || !spanWithin(lo.R, hi.R, margin, budget) {
+		return lattice.Window{}, false
+	}
+	if min(lo.Q, lo.R) < math.MinInt+margin || max(hi.Q, hi.R) > math.MaxInt-margin {
 		return lattice.Window{}, false
 	}
 	w := lattice.WindowCovering(lo, hi, margin)
@@ -182,52 +200,33 @@ func coverWithin(lo, hi lattice.Point, margin, budget int) (lattice.Window, bool
 	return w, true
 }
 
+// stretch returns the box [lo, hi] widened to cover p.
+func stretch(lo, hi, p lattice.Point) (lattice.Point, lattice.Point) {
+	lo.Q, lo.R = min(lo.Q, p.Q), min(lo.R, p.R)
+	hi.Q, hi.R = max(hi.Q, p.Q), max(hi.R, p.R)
+	return lo, hi
+}
+
 // grow re-homes the dense store onto a window covering both the current
-// window and p, with fresh margin, and migrates any overflow particles that
-// the new interior now covers. When extending the existing (never-shrunk)
-// window would exceed the area budget, it retries against the tight bounding
-// box of the actual occupation — so a compact configuration that has merely
-// drifted for a long time is compacted rather than spilled. It reports false
-// (leaving the store untouched) only when even the tight cover is over
-// budget.
+// window and p, with fresh margin, while that fits the area budget for the
+// current count. Past it, it retries against the tight bounding box of the
+// actual occupation plus p, checked against the budget for the count after
+// p is placed — so a compact configuration that has merely drifted for a
+// long time is compacted rather than refused, and a connected one always
+// fits. It reports false (leaving the store untouched) only when even the
+// tight cover is over budget.
 func (c *Config) grow(p lattice.Point) bool {
 	lo, hi := p, p
 	if !c.win.Empty() {
-		mn, mx := c.win.Min, c.win.Max()
-		if mn.Q < lo.Q {
-			lo.Q = mn.Q
-		}
-		if mn.R < lo.R {
-			lo.R = mn.R
-		}
-		if mx.Q > hi.Q {
-			hi.Q = mx.Q
-		}
-		if mx.R > hi.R {
-			hi.R = mx.R
-		}
+		lo, hi = stretch(lo, hi, c.win.Min)
+		lo, hi = stretch(lo, hi, c.win.Max())
 	}
 	margin := growMargin(c.n)
-	budget := c.windowBudget()
-	nw, ok := coverWithin(lo, hi, margin, budget)
+	nw, ok := coverWithin(lo, hi, margin, windowBudget(c.n))
 	if !ok {
-		// Retry against the tight occupied bounding box plus p.
 		lo, hi = p, p
-		c.ForEach(func(q lattice.Point, _ Color) {
-			if q.Q < lo.Q {
-				lo.Q = q.Q
-			}
-			if q.R < lo.R {
-				lo.R = q.R
-			}
-			if q.Q > hi.Q {
-				hi.Q = q.Q
-			}
-			if q.R > hi.R {
-				hi.R = q.R
-			}
-		})
-		if nw, ok = coverWithin(lo, hi, margin, budget); !ok {
+		c.ForEach(func(q lattice.Point, _ Color) { lo, hi = stretch(lo, hi, q) })
+		if nw, ok = coverWithin(lo, hi, margin, windowBudget(c.n+1)); !ok {
 			return false
 		}
 	}
@@ -260,28 +259,22 @@ func (c *Config) grow(p lattice.Point) bool {
 	}
 	c.win, c.cells = nw, cells
 	c.rebuildPairOffsets()
-	// Migrate overflow particles that the grown interior now covers.
-	if c.overflow != nil {
-		for k, col := range c.overflow {
-			if q := unkey(k); c.win.Interior(q) {
-				c.cells[c.win.Index(q)] = uint8(col) + 1
-				delete(c.overflow, k)
-			}
-		}
-		if len(c.overflow) == 0 {
-			c.overflow = nil
-		}
-	}
 	return true
 }
 
-// Place adds a particle of color col at p, updating edge statistics.
+// Place adds a particle of color col at p, updating edge statistics. If p
+// lies outside the window's interior the window grows; when the grown
+// window would exceed the area budget for the count after the placement,
+// Place returns ErrSpread and leaves the Config unchanged.
 func (c *Config) Place(p lattice.Point, col Color) error {
 	if col >= MaxColors {
 		return ErrColorRange
 	}
 	if _, ok := c.colorAt(p); ok {
 		return ErrOccupied
+	}
+	if !c.win.Interior(p) && !c.grow(p) {
+		return ErrSpread
 	}
 	for _, nb := range p.Neighbors() {
 		if nc, ok := c.colorAt(nb); ok {
@@ -291,14 +284,7 @@ func (c *Config) Place(p lattice.Point, col Color) error {
 			}
 		}
 	}
-	if c.win.Interior(p) || c.grow(p) {
-		c.cells[c.win.Index(p)] = uint8(col) + 1
-	} else {
-		if c.overflow == nil {
-			c.overflow = make(map[uint64]Color)
-		}
-		c.overflow[key(p)] = col
-	}
+	c.cells[c.win.Index(p)] = uint8(col) + 1
 	c.n++
 	c.colorCount[col]++
 	return nil
@@ -310,14 +296,7 @@ func (c *Config) Remove(p lattice.Point) error {
 	if !ok {
 		return ErrVacant
 	}
-	if c.win.Contains(p) && c.cells[c.win.Index(p)] != 0 {
-		c.cells[c.win.Index(p)] = 0
-	} else {
-		delete(c.overflow, key(p))
-		if len(c.overflow) == 0 {
-			c.overflow = nil
-		}
-	}
+	c.cells[c.win.Index(p)] = 0
 	for _, nb := range p.Neighbors() {
 		if nc, ok := c.colorAt(nb); ok {
 			c.edges--
@@ -348,18 +327,12 @@ func (c *Config) Occupied(p lattice.Point) bool {
 // allocating per capture. The window is empty until the first placement.
 func (c *Config) Window() lattice.Window { return c.win }
 
-// DenseOnly reports whether every particle lives in the dense window store
-// (true for all connected configurations). When false, window-bounded scans
-// miss the overflow particles and callers must fall back to point lists.
-func (c *Config) DenseOnly() bool { return c.overflow == nil }
-
-// Cells returns the whole dense store: cell i holds the vertex
+// Cells returns the whole store: cell i holds the vertex
 // Window().PointAt(i), as 0 when vacant and color+1 when occupied. Every
-// dense particle lies in the window's interior, so Window().
-// NeighborOffsets() added to a particle's index address its six neighbors.
-// It has RowCells' contract: the slice aliases the store, so callers must
-// treat it as read-only and must not hold it across mutations, and
-// overflow particles are not visible through it (check DenseOnly first).
+// particle lies in the window's interior, so Window().NeighborOffsets()
+// added to a particle's index address its six neighbors. It has RowCells'
+// contract: the slice aliases the store, so callers must treat it as
+// read-only and must not hold it across mutations.
 func (c *Config) Cells() []byte { return c.cells }
 
 // RowCells returns the dense-store cell bytes — 0 for a vacant vertex,
@@ -367,9 +340,7 @@ func (c *Config) Cells() []byte { return c.cells }
 // [loQ, hiQ], or nil when the row or range falls outside the window. It is
 // the zero-copy plane-extraction path of the binary snapshot encoder: the
 // returned slice aliases the store, so callers must treat it as read-only
-// and must not hold it across mutations. Overflow particles (possible only
-// for disconnected configurations) are not visible through it; check
-// DenseOnly first.
+// and must not hold it across mutations.
 func (c *Config) RowCells(r, loQ, hiQ int) []byte {
 	if r < c.win.Min.R || r >= c.win.Min.R+c.win.H {
 		return nil
@@ -478,103 +449,47 @@ func (c *Config) ColorDegreeExcluding(p, ex lattice.Point, col Color) int {
 }
 
 // ForEach invokes f for every particle in canonical point order. It
-// allocates nothing when the configuration is fully dense (the common case),
-// making it the preferred bulk-read path for meters and serializers.
+// allocates nothing, making it the preferred bulk-read path for meters and
+// serializers.
 func (c *Config) ForEach(f func(p lattice.Point, col Color)) {
-	if c.overflow == nil {
-		// Column traversal of the row-major window visits vertices in
-		// canonical lexicographic (Q, R) order.
-		found := 0
-		for q := 0; q < c.win.W && found < c.n; q++ {
-			for i := q; i < len(c.cells); i += c.win.W {
-				if v := c.cells[i]; v != 0 {
-					f(c.win.PointAt(i), Color(v-1))
-					found++
-				}
+	// Column traversal of the row-major window visits vertices in
+	// canonical lexicographic (Q, R) order.
+	found := 0
+	for q := 0; q < c.win.W && found < c.n; q++ {
+		for i := q; i < len(c.cells); i += c.win.W {
+			if v := c.cells[i]; v != 0 {
+				f(c.win.PointAt(i), Color(v-1))
+				found++
 			}
 		}
-		return
-	}
-	for _, pt := range c.Particles() {
-		f(pt.Pos, pt.Color)
 	}
 }
 
 // Particles returns all particles in canonical point order.
 func (c *Config) Particles() []Particle {
-	pts := c.Points()
-	out := make([]Particle, len(pts))
-	for i, p := range pts {
-		col, _ := c.At(p)
-		out[i] = Particle{Pos: p, Color: col}
-	}
+	out := make([]Particle, 0, c.n)
+	c.ForEach(func(p lattice.Point, col Color) { out = append(out, Particle{Pos: p, Color: col}) })
 	return out
 }
 
 // Points returns all occupied points in canonical point order.
 func (c *Config) Points() []lattice.Point {
 	out := make([]lattice.Point, 0, c.n)
-	found := 0
-	for q := 0; q < c.win.W && found < c.n-len(c.overflow); q++ {
-		for i := q; i < len(c.cells); i += c.win.W {
-			if c.cells[i] != 0 {
-				out = append(out, c.win.PointAt(i))
-				found++
-			}
-		}
-	}
-	if c.overflow == nil {
-		return out
-	}
-	// Merge the (already sorted) dense points with the sorted overflow.
-	extra := make([]lattice.Point, 0, len(c.overflow))
-	for k := range c.overflow {
-		extra = append(extra, unkey(k))
-	}
-	lattice.SortPoints(extra)
-	merged := make([]lattice.Point, 0, len(out)+len(extra))
-	i, j := 0, 0
-	for i < len(out) && j < len(extra) {
-		if lattice.Less(out[i], extra[j]) {
-			merged = append(merged, out[i])
-			i++
-		} else {
-			merged = append(merged, extra[j])
-			j++
-		}
-	}
-	merged = append(merged, out[i:]...)
-	merged = append(merged, extra[j:]...)
-	return merged
+	c.ForEach(func(p lattice.Point, _ Color) { out = append(out, p) })
+	return out
 }
 
 // minPoint returns the canonical (lexicographically) first occupied point;
 // ok is false for an empty configuration.
 func (c *Config) minPoint() (lattice.Point, bool) {
-	if c.n == 0 {
-		return lattice.Point{}, false
-	}
-	var denseMin lattice.Point
-	haveDense := false
-	for q := 0; q < c.win.W && !haveDense; q++ {
+	for q := 0; q < c.win.W && c.n > 0; q++ {
 		for i := q; i < len(c.cells); i += c.win.W {
 			if c.cells[i] != 0 {
-				denseMin = c.win.PointAt(i)
-				haveDense = true
-				break
+				return c.win.PointAt(i), true
 			}
 		}
 	}
-	if c.overflow == nil {
-		return denseMin, haveDense
-	}
-	best, haveBest := denseMin, haveDense
-	for k := range c.overflow {
-		if p := unkey(k); !haveBest || lattice.Less(p, best) {
-			best, haveBest = p, true
-		}
-	}
-	return best, haveBest
+	return lattice.Point{}, false
 }
 
 // Hash returns a 64-bit FNV-1a digest of the configuration up to lattice
@@ -615,12 +530,6 @@ func (c *Config) Clone() *Config {
 	cp := *c
 	cp.cells = make([]uint8, len(c.cells))
 	copy(cp.cells, c.cells)
-	if c.overflow != nil {
-		cp.overflow = make(map[uint64]Color, len(c.overflow))
-		for k, v := range c.overflow {
-			cp.overflow[k] = v
-		}
-	}
 	return &cp
 }
 
@@ -681,10 +590,7 @@ func (c *Config) Connected() bool {
 	if c.n <= 1 {
 		return true
 	}
-	if c.overflow != nil {
-		return c.connectedSparse()
-	}
-	// Dense flood fill over the window with constant index offsets; every
+	// Flood fill over the window with constant index offsets; every
 	// particle is interior, so the offsets never escape the cell array.
 	start := -1
 	for i, v := range c.cells {
@@ -713,139 +619,50 @@ func (c *Config) Connected() bool {
 	return count == c.n
 }
 
-// connectedSparse is the map-based fallback for configurations with
-// overflow particles (whose coordinates may be arbitrarily far apart).
-func (c *Config) connectedSparse() bool {
-	start, _ := c.minPoint()
-	visited := map[uint64]bool{key(start): true}
-	stack := []lattice.Point{start}
-	count := 1
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range p.Neighbors() {
-			nk := key(nb)
-			if !visited[nk] && c.Occupied(nb) {
-				visited[nk] = true
-				count++
-				stack = append(stack, nb)
-			}
-		}
-	}
-	return count == c.n
-}
-
 // HoleFree reports whether the configuration has no holes: no maximal finite
-// connected component of unoccupied vertices. It flood-fills the unoccupied
-// complement inside a one-cell-inflated bounding box; any unoccupied cell in
-// the box not reached from the box border lies in a hole.
+// connected component of unoccupied vertices. It floods the window's vacant
+// cells from its border ring, which is vacant and part of the infinite
+// exterior, the way Connected floods occupied cells: the ring is marked
+// reached, the flood starts from the vacant cells just inside it and steps
+// by constant index offsets through interior cells only, and any vacant
+// cell it does not reach lies in a hole.
 func (c *Config) HoleFree() bool {
 	if c.n == 0 {
 		return true
 	}
-	lo, hi := lattice.Bounds(c.Points())
-	lo.Q--
-	lo.R--
-	hi.Q++
-	hi.R++
-	if !spanWithin(lo.Q, hi.Q, 0, 1<<22) || !spanWithin(lo.R, hi.R, 0, 1<<22) {
-		// The bounding box is too spread out for a complement flood fill
-		// (possible only for disconnected point sets, e.g. two particles
-		// 2³¹ cells apart). Check per connected component instead.
-		return c.holeFreeSparse()
-	}
-	width := hi.Q - lo.Q + 1
-	height := hi.R - lo.R + 1
-	idx := func(p lattice.Point) int { return (p.R-lo.R)*width + (p.Q - lo.Q) }
-	inBox := func(p lattice.Point) bool {
-		return p.Q >= lo.Q && p.Q <= hi.Q && p.R >= lo.R && p.R <= hi.R
-	}
-	visited := make([]bool, width*height)
-	var stack []lattice.Point
-	// Seed from every border cell of the box; the inflated border is
-	// entirely unoccupied and part of the infinite exterior component.
-	for q := lo.Q; q <= hi.Q; q++ {
-		for _, r := range [2]int{lo.R, hi.R} {
-			p := lattice.Point{Q: q, R: r}
-			if !c.Occupied(p) && !visited[idx(p)] {
-				visited[idx(p)] = true
-				stack = append(stack, p)
-			}
+	w, h := c.win.W, c.win.H
+	offs := c.win.NeighborOffsets()
+	reached := make([]bool, len(c.cells))
+	stack := make([]int32, 0, 2*(w+h))
+	visit := func(i int) {
+		if c.cells[i] == 0 && !reached[i] {
+			reached[i] = true
+			stack = append(stack, int32(i))
 		}
 	}
-	for r := lo.R; r <= hi.R; r++ {
-		for _, q := range [2]int{lo.Q, hi.Q} {
-			p := lattice.Point{Q: q, R: r}
-			if !c.Occupied(p) && !visited[idx(p)] {
-				visited[idx(p)] = true
-				stack = append(stack, p)
-			}
-		}
+	for q := 0; q < w; q++ {
+		reached[q], reached[(h-1)*w+q] = true, true
+	}
+	for r := 0; r < h; r++ {
+		reached[r*w], reached[r*w+w-1] = true, true
+	}
+	for q := 1; q < w-1; q++ {
+		visit(w + q)
+		visit((h-2)*w + q)
+	}
+	for r := 1; r < h-1; r++ {
+		visit(r*w + 1)
+		visit(r*w + w - 2)
 	}
 	for len(stack) > 0 {
-		p := stack[len(stack)-1]
+		cur := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		for _, nb := range p.Neighbors() {
-			if !inBox(nb) || c.Occupied(nb) {
-				continue
-			}
-			if i := idx(nb); !visited[i] {
-				visited[i] = true
-				stack = append(stack, nb)
-			}
+		for _, off := range offs {
+			visit(cur + off)
 		}
 	}
-	// Any unoccupied, unvisited cell strictly inside the box is in a hole.
-	for r := lo.R + 1; r < hi.R; r++ {
-		for q := lo.Q + 1; q < hi.Q; q++ {
-			p := lattice.Point{Q: q, R: r}
-			if !c.Occupied(p) && !visited[idx(p)] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// holeFreeSparse handles point sets too spread out for a bounding-box flood
-// fill: it partitions the particles into connected components and checks
-// each component in isolation (translated near the origin). On a
-// triangulated lattice the external boundary of a finite vacant region is a
-// connected cycle of particles, so the union has a hole iff some single
-// component does. A single connected component with a multi-million-cell
-// span cannot arise from fewer particles than cells, so the recursion
-// terminates after one level; the panic guards the impossible case.
-func (c *Config) holeFreeSparse() bool {
-	remaining := make(map[uint64]Color, c.n)
-	c.ForEach(func(p lattice.Point, col Color) { remaining[key(p)] = col })
-	for len(remaining) > 0 {
-		// Extract one connected component.
-		var start lattice.Point
-		for k := range remaining {
-			start = unkey(k)
-			break
-		}
-		comp := []lattice.Point{start}
-		delete(remaining, key(start))
-		for i := 0; i < len(comp); i++ {
-			for _, nb := range comp[i].Neighbors() {
-				if _, ok := remaining[key(nb)]; ok {
-					delete(remaining, key(nb))
-					comp = append(comp, nb)
-				}
-			}
-		}
-		if len(comp) == c.n {
-			panic("psys: connected component wider than its particle count")
-		}
-		sub := New()
-		base := comp[0]
-		for _, p := range comp {
-			if err := sub.Place(p.Sub(base), 0); err != nil {
-				panic("psys: component re-placement failed: " + err.Error())
-			}
-		}
-		if !sub.HoleFree() {
+	for i, v := range c.cells {
+		if v == 0 && !reached[i] {
 			return false
 		}
 	}

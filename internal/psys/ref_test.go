@@ -6,30 +6,32 @@ import (
 	"sops/internal/lattice"
 )
 
-// refConfig is the seed's map-backed occupancy store, retained verbatim as a
-// test-only reference implementation. The differential tests drive it and the
-// dense-grid Config through identical operation sequences and require every
-// observable — occupancy, e(σ), a(σ), h(σ), p(σ), boundary walks, error
-// verdicts — to agree, so the dense store cannot silently diverge from the
-// semantics the original implementation defined.
+// refConfig is the seed's map-backed occupancy store, retained (keyed by
+// lattice.Point) as a test-only reference implementation. The differential
+// tests drive it and the dense-grid Config through identical operation
+// sequences and require every observable — occupancy, e(σ), a(σ), h(σ),
+// p(σ), boundary walks, error verdicts — to agree, so the dense store
+// cannot silently diverge from the semantics the original implementation
+// defined. The reference has no area budget: operations the dense store
+// refuses with ErrSpread are skipped on it (applyDense).
 type refConfig struct {
-	occ        map[uint64]Color
+	occ        map[lattice.Point]Color
 	edges      int
 	hom        int
 	colorCount [MaxColors]int
 }
 
 func newRef() *refConfig {
-	return &refConfig{occ: make(map[uint64]Color)}
+	return &refConfig{occ: make(map[lattice.Point]Color)}
 }
 
 func (c *refConfig) At(p lattice.Point) (Color, bool) {
-	col, ok := c.occ[key(p)]
+	col, ok := c.occ[p]
 	return col, ok
 }
 
 func (c *refConfig) Occupied(p lattice.Point) bool {
-	_, ok := c.occ[key(p)]
+	_, ok := c.occ[p]
 	return ok
 }
 
@@ -60,7 +62,7 @@ func (c *refConfig) Place(p lattice.Point, col Color) error {
 			}
 		}
 	}
-	c.occ[key(p)] = col
+	c.occ[p] = col
 	c.colorCount[col]++
 	return nil
 }
@@ -70,7 +72,7 @@ func (c *refConfig) Remove(p lattice.Point) error {
 	if !ok {
 		return ErrVacant
 	}
-	delete(c.occ, key(p))
+	delete(c.occ, p)
 	for _, nb := range p.Neighbors() {
 		if nc, ok := c.At(nb); ok {
 			c.edges--
@@ -149,8 +151,8 @@ func (c *refConfig) MoveValid(l, lp lattice.Point) bool {
 
 func (c *refConfig) Points() []lattice.Point {
 	pts := make([]lattice.Point, 0, len(c.occ))
-	for k := range c.occ {
-		pts = append(pts, unkey(k))
+	for p := range c.occ {
+		pts = append(pts, p)
 	}
 	sort.Slice(pts, func(i, j int) bool { return lattice.Less(pts[i], pts[j]) })
 	return pts

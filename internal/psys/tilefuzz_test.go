@@ -11,18 +11,20 @@ import (
 // operations whose coordinates span several scales — small patches keep
 // operations colliding inside and across tile boundaries, large scales
 // force directory growth and open-addressing rehashes (and push the
-// mirrored dense reference through window regrows and its overflow
-// fallback). Every operation is mirrored on the dense Config proven
-// equivalent in PR 3/4; verdicts and observables must agree, the tile
-// directory's raw-storage audit must stay clean throughout, and every
-// occupied anchor's packed gather view must match the dense kernel's.
+// mirrored dense reference through window regrows and past its area
+// budget, where it refuses the operation with ErrSpread, stays unchanged,
+// and the tile store skips it). Every other operation is mirrored on the
+// dense Config, which the differential tests hold to the seed's reference
+// store; verdicts and observables must agree, the tile directory's
+// raw-storage audit must stay clean throughout, and every occupied
+// anchor's packed gather view must match the dense kernel's.
 func FuzzTileWindow(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	// A run along a tile boundary: Q = 63,64,65 crossing moves.
 	f.Add([]byte{0, 63, 0, 0, 0, 64, 0, 1, 0, 65, 0, 2, 2, 63, 0, 3})
 	// Far placements at three scales: directory growth + rehash, and the
-	// dense reference's overflow spill.
+	// dense reference's ErrSpread refusals.
 	f.Add([]byte{0x40, 100, 100, 0, 0x80, 100, 100, 1, 0xc0, 100, 100, 2, 1, 0, 0, 0})
 	// Place a line, move its head, swap the tail.
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 0, 2, 2, 0, 0, 3, 0, 0, 1})

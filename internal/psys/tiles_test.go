@@ -16,24 +16,15 @@ import (
 // must agree after every step.
 
 // applyBothTile applies op to the tile store and the dense reference and
-// checks the error verdicts agree.
+// checks the error verdicts agree. An operation the dense reference refuses
+// with ErrSpread (which applyDense checks left it unchanged) is skipped on
+// the tile store.
 func applyBothTile(ts *TileStore, c *Config, op diffOp) error {
-	var errT, errC error
-	switch op.Kind {
-	case 0:
-		errT = ts.Place(op.P, op.Col)
-		errC = c.Place(op.P, op.Col)
-	case 1:
-		errT = ts.Remove(op.P)
-		errC = c.Remove(op.P)
-	case 2:
-		errT = ts.ApplyMove(op.P, op.P.Neighbor(op.D))
-		errC = c.ApplyMove(op.P, op.P.Neighbor(op.D))
-	case 3:
-		errT = ts.ApplySwap(op.P, op.P.Neighbor(op.D))
-		errC = c.ApplySwap(op.P, op.P.Neighbor(op.D))
+	refused, errC := applyDense(c, op)
+	if refused {
+		return errC
 	}
-	if (errT == nil) != (errC == nil) {
+	if errT := op.apply(ts); (errT == nil) != (errC == nil) {
 		return fmt.Errorf("op %+v: tile err %v, dense err %v", op, errT, errC)
 	}
 	return nil
@@ -80,7 +71,7 @@ func compareTileStore(ts *TileStore, c *Config) error {
 
 // TestTileDiffRandomOps: arbitrary operation sequences — including the
 // far placements that push the dense reference through window growth and
-// overflow spill, and the tile store through directory growth — leave
+// ErrSpread refusals, and the tile store through directory growth — leave
 // both stores observationally identical, with the tile store's
 // bookkeeping auditing clean after every operation.
 func TestTileDiffRandomOps(t *testing.T) {
@@ -211,9 +202,9 @@ func TestTileGatherMatchesDense(t *testing.T) {
 }
 
 // TestTileStoreStringyMemory: the tile store's reason to exist. A
-// diagonal line of 100k particles has a 100k×100k bounding box — beyond
-// any dense window budget — yet occupies one tile per 64 cells of its
-// length. The store must hold it in O(n/TileSize) tiles with exact
+// diagonal line of 100k particles has a 100k×100k bounding box — a dense
+// window would need 10¹⁰ one-byte cells — yet occupies one tile per 64
+// cells of its length. The store must hold it in O(n/TileSize) tiles with exact
 // statistics and connectivity.
 func TestTileStoreStringyMemory(t *testing.T) {
 	n := 100_000

@@ -155,11 +155,9 @@ func (m *Model) HappyFraction() float64 {
 // configuration (possibly disconnected — Schelling dynamics do not preserve
 // connectivity), for reuse of the metrics package.
 func (m *Model) Config() (*psys.Config, error) {
-	cfg := psys.New()
+	particles := make([]psys.Particle, 0, len(m.cells))
 	for p, col := range m.cells {
-		if err := cfg.Place(p, col); err != nil {
-			return nil, err
-		}
+		particles = append(particles, psys.Particle{Pos: p, Color: col})
 	}
-	return cfg, nil
+	return psys.NewFrom(particles)
 }

@@ -12,8 +12,8 @@ const maxRngLen = 1<<16 - 1
 
 // Checkpoint is the flat view of a chain checkpoint the binary frame
 // carries: bias parameters, counters, the serialized RNG state, the
-// configuration, and an optional particle placement order (consumed by the
-// resume path to rebuild overflow/iteration state deterministically).
+// configuration, and an optional particle selection order (consumed by the
+// resume path to rebuild the chain's iteration state deterministically).
 //
 // Body layout after the 40-byte header (whose Step/Win/N/RngLen/NumColors
 // fields hold Steps, the configuration window, N, len(Rng), and the color

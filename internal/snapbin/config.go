@@ -2,7 +2,6 @@ package snapbin
 
 import (
 	"fmt"
-	"sort"
 
 	"sops/internal/lattice"
 	"sops/internal/psys"
@@ -42,37 +41,17 @@ type Encoder struct {
 	body   []byte                 // frame-body scratch for count-prefixed kinds
 	sealed []byte                 // seal envelope scratch
 	plane  [lattice.TileArea]byte // one packed tile plane (max depth 8 bpc)
-
-	// tiles collects the occupied tile set of the overflow fallback path;
-	// dense configurations never touch it.
-	tiles []tilePlane
-}
-
-// tilePlane pairs a tile coordinate with its unpacked cell values, used
-// only on the overflow (non-dense) fallback path.
-type tilePlane struct {
-	coord lattice.TileCoord
-	cells []byte
 }
 
 // appendConfig appends the configuration block for cfg: numColors byte,
 // tile count, then delta-coded tiles each carrying an XOR-RLE packed
-// plane. The fast path walks the dense window directly and allocates
-// nothing; configurations with overflow particles (disconnected point
-// sets, never the chain's state space) take a slower allocating path.
+// plane. It walks the configuration's window tile by tile in canonical
+// (TR, TQ) order, packing and emitting every non-empty tile, and allocates
+// nothing.
 func (e *Encoder) appendConfig(dst []byte, cfg *psys.Config) []byte {
 	numColors := uint8(cfg.NumColors())
 	bpc := bitsFor(numColors)
 	dst = append(dst, numColors)
-	if cfg.DenseOnly() {
-		return e.appendDenseTiles(dst, cfg, bpc)
-	}
-	return e.appendSparseTiles(dst, cfg, bpc)
-}
-
-// appendDenseTiles walks the dense window tile by tile in canonical
-// (TR, TQ) order, packing and emitting every non-empty tile.
-func (e *Encoder) appendDenseTiles(dst []byte, cfg *psys.Config, bpc uint8) []byte {
 	win := cfg.Window()
 	if win.Empty() || cfg.N() == 0 {
 		return AppendUvarint(dst, 0)
@@ -143,51 +122,6 @@ func (e *Encoder) scanTile(cfg *psys.Config, tc lattice.TileCoord, bpc uint8) in
 	return found
 }
 
-// appendSparseTiles is the overflow fallback: group every particle by tile
-// through a sorted slice, then emit in canonical order. Allocates; only
-// disconnected configurations reach it.
-func (e *Encoder) appendSparseTiles(dst []byte, cfg *psys.Config, bpc uint8) []byte {
-	e.tiles = e.tiles[:0]
-	byTile := make(map[lattice.TileCoord][]byte)
-	cfg.ForEach(func(p lattice.Point, col psys.Color) {
-		tc := lattice.TileOf(p)
-		cells := byTile[tc]
-		if cells == nil {
-			cells = make([]byte, lattice.TileArea)
-			byTile[tc] = cells
-		}
-		cells[lattice.TileIndex(p)] = uint8(col) + 1
-	})
-	for tc, cells := range byTile {
-		e.tiles = append(e.tiles, tilePlane{coord: tc, cells: cells})
-	}
-	sort.Slice(e.tiles, func(i, j int) bool {
-		a, b := e.tiles[i].coord, e.tiles[j].coord
-		if a.TR != b.TR {
-			return a.TR < b.TR
-		}
-		return a.TQ < b.TQ
-	})
-	dst = AppendUvarint(dst, uint64(len(e.tiles)))
-	prev := lattice.TileCoord{}
-	pb := planeBytes(bpc)
-	for _, tp := range e.tiles {
-		dst = AppendVarint(dst, int64(tp.coord.TQ-prev.TQ))
-		dst = AppendVarint(dst, int64(tp.coord.TR-prev.TR))
-		for i := range e.plane[:pb] {
-			e.plane[i] = 0
-		}
-		for i, v := range tp.cells {
-			if v != 0 {
-				setPlane(e.plane[:pb], i, bpc, v)
-			}
-		}
-		dst = appendXorRLE(dst, e.plane[:pb])
-		prev = tp.coord
-	}
-	return dst
-}
-
 // setPlane stores v at cell index i of a packed plane (little-endian
 // within each byte).
 func setPlane(plane []byte, i int, bpc uint8, v uint8) {
@@ -225,7 +159,7 @@ func readConfig(r *Reader, bpc uint8, wantN int, wantColors uint8) (*psys.Config
 	if err != nil {
 		return nil, err
 	}
-	cfg := psys.New()
+	var particles []psys.Particle
 	pb := planeBytes(bpc)
 	var plane [lattice.TileArea]byte
 	prev := lattice.TileCoord{}
@@ -255,10 +189,11 @@ func readConfig(r *Reader, bpc uint8, wantN int, wantColors uint8) (*psys.Config
 			if v > numColors {
 				return nil, fmt.Errorf("%w: cell value %d exceeds %d color classes", ErrMalformed, v, numColors)
 			}
-			p := lattice.Point{Q: origin.Q + i&(lattice.TileSize-1), R: origin.R + i>>lattice.TileShift}
-			if err := cfg.Place(p, psys.Color(v-1)); err != nil {
-				return nil, fmt.Errorf("%w: place %v: %v", ErrMalformed, p, err)
+			if len(particles) == wantN {
+				return nil, fmt.Errorf("%w: more than the %d particles the header declares", ErrMalformed, wantN)
 			}
+			p := lattice.Point{Q: origin.Q + i&(lattice.TileSize-1), R: origin.R + i>>lattice.TileShift}
+			particles = append(particles, psys.Particle{Pos: p, Color: psys.Color(v - 1)})
 			placed++
 		}
 		if placed == 0 {
@@ -266,8 +201,14 @@ func readConfig(r *Reader, bpc uint8, wantN int, wantColors uint8) (*psys.Config
 		}
 		prev = tc
 	}
-	if cfg.N() != wantN {
-		return nil, fmt.Errorf("%w: decoded %d particles, header declares %d", ErrMalformed, cfg.N(), wantN)
+	if len(particles) != wantN {
+		return nil, fmt.Errorf("%w: decoded %d particles, header declares %d", ErrMalformed, len(particles), wantN)
+	}
+	// Tiles arrive in strictly increasing order, so no two particles share
+	// a cell; the one way NewFrom can fail is psys.ErrSpread.
+	cfg, err := psys.NewFrom(particles)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
 	return cfg, nil
 }

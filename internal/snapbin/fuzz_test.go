@@ -29,6 +29,20 @@ func FuzzSnapbinDecode(f *testing.F) {
 	if frame, err := enc.EncodeCheckpoint(cp); err == nil {
 		f.Add(append([]byte(nil), frame...))
 	}
+	// A connected 100-particle (1,−1) diagonal string, the widest box a
+	// connected configuration can have, and two particles 2³⁰ cells apart,
+	// which the decoder refuses with psys.ErrSpread.
+	diag := make([]psys.Particle, 100)
+	for i := range diag {
+		diag[i] = psys.Particle{Pos: lattice.Point{Q: i, R: -i}, Color: psys.Color(i % 2)}
+	}
+	if cfg, err := psys.NewFrom(diag); err == nil {
+		cp := &Checkpoint{Lambda: 4, Gamma: 4, Seed: 5, Rng: make([]byte, 32), Config: cfg, Order: cfg.Points()}
+		if frame, err := enc.EncodeCheckpoint(cp); err == nil {
+			f.Add(append([]byte(nil), frame...))
+		}
+	}
+	f.Add(spreadCheckpointFrame())
 	snaps := []metrics.Snapshot{
 		{Steps: 100, N: 40, Edges: 50, HomEdges: 30, HetEdges: 20, Alpha: 1.5, Phase: metrics.CompressedSeparated},
 		{Steps: 200, N: 40, Edges: 55, HomEdges: 35, HetEdges: 20, Alpha: 1.4},
@@ -94,4 +108,30 @@ func FuzzSnapbinDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// spreadCheckpointFrame encodes a checkpoint frame whose configuration
+// block holds two particles 2³⁰ cells apart, one in each of two tiles 2²⁴
+// tiles apart: a frame no Config can produce, which DecodeCheckpoint must
+// refuse with psys.ErrSpread.
+func spreadCheckpointFrame() []byte {
+	const bpc = 2
+	var plane [lattice.TileArea]byte
+	setPlane(plane[:planeBytes(bpc)], 0, bpc, 1)
+	buf := AppendHeader(nil, Header{Kind: KindCheckpoint, BitsPerCell: bpc, N: 2, RngLen: 32, NumColors: 1})
+	buf = AppendF64(buf, 4)
+	buf = AppendF64(buf, 4)
+	buf = append(buf, 0) // flags
+	for i := 0; i < 4; i++ {
+		buf = appendU64(buf, 0) // seed, moves, swaps, rejected
+	}
+	buf = append(buf, make([]byte, 32)...)
+	buf = append(buf, 1) // numColors
+	buf = AppendUvarint(buf, 2)
+	for _, dq := range []int64{0, 1 << 24} {
+		buf = AppendVarint(buf, dq)
+		buf = AppendVarint(buf, 0)
+		buf = appendXorRLE(buf, plane[:planeBytes(bpc)])
+	}
+	return append(buf, 0) // no order
 }

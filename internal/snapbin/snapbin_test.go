@@ -27,17 +27,19 @@ func mustPlace(t *testing.T, pts []lattice.Point, cols []psys.Color) *psys.Confi
 // randomConfig scatters n particles of k colors in a w×w box at origin.
 func randomConfig(t *testing.T, r *rand.Rand, n, k, w int, origin lattice.Point) *psys.Config {
 	t.Helper()
-	cfg := psys.New()
-	placed := 0
-	for placed < n {
+	seen := make(map[lattice.Point]bool, n)
+	particles := make([]psys.Particle, 0, n)
+	for len(particles) < n {
 		p := lattice.Point{Q: origin.Q + r.Intn(w), R: origin.R + r.Intn(w)}
-		if cfg.Occupied(p) {
+		if seen[p] {
 			continue
 		}
-		if err := cfg.Place(p, psys.Color(r.Intn(k))); err != nil {
-			t.Fatalf("place %v: %v", p, err)
-		}
-		placed++
+		seen[p] = true
+		particles = append(particles, psys.Particle{Pos: p, Color: psys.Color(r.Intn(k))})
+	}
+	cfg, err := psys.NewFrom(particles)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return cfg
 }
@@ -473,5 +475,15 @@ func TestRowCellsMatchesAt(t *testing.T) {
 				t.Fatalf("row says %d, At says (%d, %v) at %v", v, col, ok, p)
 			}
 		}
+	}
+}
+
+// TestDecodeCheckpointRefusesSpread: a configuration block whose particles
+// lie too far apart for the dense window fails as a malformed frame that
+// also matches psys.ErrSpread.
+func TestDecodeCheckpointRefusesSpread(t *testing.T) {
+	_, err := DecodeCheckpoint(spreadCheckpointFrame())
+	if !errors.Is(err, ErrMalformed) || !errors.Is(err, psys.ErrSpread) {
+		t.Fatalf("err %v, want ErrMalformed and psys.ErrSpread", err)
 	}
 }
