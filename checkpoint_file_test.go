@@ -33,6 +33,37 @@ func TestWriteCheckpointRestoreFile(t *testing.T) {
 	}
 }
 
+// TestSealedCheckpointAfterRehome: a sealed checkpoint written on the step
+// right after a move re-homed the storage window restores onto the
+// identical trajectory.
+func TestSealedCheckpointAfterRehome(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rehome.ckpt")
+	sys, err := New(Options{Counts: []int{5, 5}, Lambda: 0.25, Gamma: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for win := sys.Config().Window(); sys.Config().Window() == win; {
+		if sys.Steps() > 2_000_000 {
+			t.Fatal("no re-home in 2,000,000 expanding steps")
+		}
+		sys.Step()
+	}
+	if err := sys.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		sys.RunSteps(20_000)
+		restored.RunSteps(20_000)
+		if sys.Stats() != restored.Stats() || sys.Config().CanonicalKey() != restored.Config().CanonicalKey() {
+			t.Fatalf("round %d: restored system diverged from the original", round)
+		}
+	}
+}
+
 // TestAutoCheckpoint: Run writes checkpoints on its configured
 // interval, and a System resumed from the mid-run checkpoint finishes on
 // the same trajectory as the uninterrupted run.

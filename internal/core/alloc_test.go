@@ -4,11 +4,13 @@ import (
 	"testing"
 )
 
-// TestChainStepAllocs: at steady state — chain burned in, storage window and
-// position index warmed — Chain.Step performs zero heap allocations,
-// whatever the proposal outcome. This is the tentpole property of the dense
-// occupancy store: the hot path is array loads only. The cases are the
-// set-ups of the root chain-step benchmarks.
+// TestChainStepAllocs: at steady state — chain burned in, storage window
+// warmed — Chain.Step performs zero heap allocations, whatever the
+// proposal outcome. This is the defining property of the dense occupancy
+// store: the hot path is array loads only. The cases are the set-ups of
+// the root chain-step benchmarks, plus the n = 10⁵ spiral of the
+// large-serial benchmark workload, where a window re-home rebases 10⁵
+// slots in place.
 func TestChainStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -19,6 +21,7 @@ func TestChainStepAllocs(t *testing.T) {
 		{"ChainStep", LayoutLine, 100, 4},
 		{"ChainStepN1000", LayoutSpiral, 1000, 4},
 		{"ChainStepSwapPath", LayoutSpiral, 100, 1.05},
+		{"ChainStepN100000", LayoutSpiral, 100_000, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := Initial(tc.layout, Bichromatic(tc.n), 1)

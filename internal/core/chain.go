@@ -102,16 +102,12 @@ type Chain struct {
 	rand   *rng.Buffered
 	stats  Stats
 
-	// positions and posIndex implement O(1) uniform particle selection.
-	// positions[i] is the location of particle slot i; posIndex mirrors the
-	// configuration's dense storage window (posWin) and holds the slot of
-	// the particle at each window vertex, or -1 when vacant. psys keeps
-	// every particle in its window, so every particle position always
-	// indexes into it; posIndex is rebuilt on the rare steps where the
-	// window itself moves.
-	positions []lattice.Point
-	posWin    lattice.Window
-	posIndex  []int32
+	// slots is the particle list of O(1) uniform selection: slots[i] is
+	// the index, in cfg's storage window, of particle slot i's cell. A step
+	// gathers at the slot it draws and an accepted move writes the target's
+	// index into the same slot; on the rare move that re-homes the window,
+	// the n slots are rebased onto the new one.
+	slots []int32
 
 	// probe, when set, receives the chain's statistics in amortized
 	// batches: Step publishes the delta since probeBase every probeBatch
@@ -166,7 +162,6 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 		return nil, ErrDisconnected
 	}
 	c := &Chain{
-		cfg:     cfg,
 		params:  params,
 		rand:    rng.NewBuffered(params.Seed),
 		coup:    coup,
@@ -178,8 +173,9 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 	if s, ok := m.(Scheduler); ok {
 		c.sched, c.coupNow = s, append([]float64(nil), coup...)
 	}
-	c.positions = cfg.Points()
-	c.reindex()
+	if err := c.setConfig(cfg); err != nil {
+		return nil, err
+	}
 	c.retune()
 	return c, nil
 }
@@ -221,22 +217,31 @@ func (c *Chain) Observables() ([]string, []float64) {
 	return names, out
 }
 
-// reindex rebuilds posIndex over the configuration's current storage
-// window. Called at construction and whenever a move makes the window grow
-// or compact; the O(area) cost is amortized by the margin psys adds on every
-// regrow.
-func (c *Chain) reindex() {
-	c.posWin = c.cfg.Window()
-	need := c.posWin.Area()
-	if cap(c.posIndex) < need {
-		c.posIndex = make([]int32, need)
+// ErrWindowRange is returned for a configuration whose storage window
+// has more cells than an int32 slot can index (2³¹ − 1, a 2 GB window).
+var ErrWindowRange = errors.New("core: storage window exceeds the int32 slot range")
+
+// setConfig binds the chain to cfg and lists its particles, in canonical
+// point order, over cfg's window.
+func (c *Chain) setConfig(cfg *psys.Config) error {
+	if a := cfg.Window().Area(); a > math.MaxInt32 {
+		return fmt.Errorf("%w: %d cells", ErrWindowRange, a)
 	}
-	c.posIndex = c.posIndex[:need]
-	for i := range c.posIndex {
-		c.posIndex[i] = -1
+	c.cfg = cfg
+	c.slots = cfg.AppendIndices(c.slots[:0])
+	return nil
+}
+
+// rebase moves every slot from window ow onto the configuration's current
+// window, which covers every particle too: O(n) on the rare move that
+// re-homes the window.
+func (c *Chain) rebase(ow lattice.Window) {
+	nw := c.cfg.Window()
+	if nw.Area() > math.MaxInt32 {
+		panic(fmt.Sprintf("core: %v: %d cells", ErrWindowRange, nw.Area()))
 	}
-	for i, p := range c.positions {
-		c.posIndex[c.posWin.Index(p)] = int32(i)
+	for k, s := range c.slots {
+		c.slots[k] = int32(nw.Index(ow.PointAt(int(s))))
 	}
 }
 
@@ -244,7 +249,7 @@ func (c *Chain) reindex() {
 func (c *Chain) Params() Params { return c.params }
 
 // Config returns the chain's live configuration. Callers must treat it as
-// read-only; mutating it corrupts the chain's particle index.
+// read-only; mutating it corrupts the chain's particle list.
 func (c *Chain) Config() *psys.Config { return c.cfg }
 
 // Snapshot returns an independent copy of the current configuration.
@@ -253,11 +258,11 @@ func (c *Chain) Snapshot() *psys.Config { return c.cfg.Clone() }
 // Stats returns the cumulative step statistics.
 func (c *Chain) Stats() Stats { return c.stats }
 
-// Positions returns the chain's live particle-selection order. Callers
-// must treat it as read-only and must not retain it across steps — it is
-// the chain's own slice, exposed so checkpoint writers can serialize the
-// order without copying.
-func (c *Chain) Positions() []lattice.Point { return c.positions }
+// Slots returns the chain's live particle-selection order as indices into
+// Config().Window(). Callers must treat it as read-only and must not
+// retain it across steps — it is the chain's own slice, exposed so
+// checkpoint writers can serialize the order without copying.
+func (c *Chain) Slots() []int32 { return c.slots }
 
 // AppendRngState appends the 32-byte binary form of the chain's random
 // stream position to dst without allocating — the binary counterpart of
@@ -307,18 +312,20 @@ func (c *Chain) FlushProbe() {
 }
 
 // N returns the number of particles.
-func (c *Chain) N() int { return len(c.positions) }
+func (c *Chain) N() int { return len(c.slots) }
 
 // Step performs one iteration of Markov chain M (Algorithm 1) and reports
 // its outcome. The proposal is evaluated through the table-driven kernel:
-// one GatherPair reads the joint (l, lp) neighborhood from the dense store
-// into packed masks, and the chain's Rule decides it — a validity table
-// probe, the model's Metropolis exponents (popcount differences for the
-// paper's dynamics), and a precomputed integer acceptance threshold. The
-// kernel consumes the identical random draws and makes the identical
-// decisions as the reference call chain (Degree/Property4/Property5/
-// Float64), which the committed golden trajectories and the psys
-// differential fuzz targets enforce.
+// one GatherAt at the drawn slot's window index reads the joint (l, lp)
+// neighborhood from the dense store into packed masks — every particle
+// sits at depth ≥ 1, where that gather is exact — and the chain's Rule
+// decides it: a validity table probe, the model's Metropolis exponents
+// (popcount differences for the paper's dynamics), and a precomputed
+// integer acceptance threshold. An accepted proposal commits from the same
+// gather. The kernel consumes the identical random draws and makes the
+// identical decisions as the reference call chain (Degree/Property4/
+// Property5/Float64), which the committed golden trajectories and the
+// psys differential fuzz targets enforce.
 //
 // A pending probe batch is published before the step is counted, so every
 // batch holds whole steps. The gather lands in a persistent chain field so
@@ -331,17 +338,16 @@ func (c *Chain) Step() Outcome {
 		c.retune()
 	}
 	c.stats.Steps++
-	l := c.positions[c.rand.Intn(len(c.positions))]
+	k := c.rand.Intn(len(c.slots))
 	dir := lattice.Direction(c.rand.Intn(lattice.NumDirections))
-	c.gather = c.cfg.GatherPair(l, dir)
+	i := int(c.slots[k])
+	c.gather = c.cfg.GatherAt(i, dir)
 	switch c.rule.Decide(&c.gather, c.dE, c.rand) {
 	case Moved:
-		c.applyMove(l, l.Neighbor(dir))
+		c.commitMove(k, i)
 		return Moved
 	case Swapped:
-		if err := c.cfg.ApplySwap(l, l.Neighbor(dir)); err != nil {
-			panic("core: invariant violation applying swap: " + err.Error())
-		}
+		c.cfg.CommitSwap(i, &c.gather)
 		c.stats.Swaps++
 		return Swapped
 	}
@@ -349,26 +355,24 @@ func (c *Chain) Step() Outcome {
 	return Rejected
 }
 
-// applyMove commits an accepted move, maintaining the particle index and
-// counters.
-func (c *Chain) applyMove(l, lp lattice.Point) {
-	idx := c.posIndex[c.posWin.Index(l)]
-	if err := c.cfg.ApplyMove(l, lp); err != nil {
+// commitMove commits the accepted move of slot k's particle, at window
+// index i, from the gather it was decided on.
+func (c *Chain) commitMove(k, i int) {
+	ow := c.cfg.Window()
+	j, err := c.cfg.CommitMove(i, &c.gather)
+	if err != nil {
 		panic("core: invariant violation applying validated move: " + err.Error())
 	}
-	c.positions[idx] = lp
-	if c.cfg.Window() == c.posWin {
-		c.posIndex[c.posWin.Index(l)] = -1
-		c.posIndex[c.posWin.Index(lp)] = idx
-	} else {
-		c.reindex()
+	if c.cfg.Window() != ow {
+		c.rebase(ow)
 	}
+	c.slots[k] = int32(j)
 	c.stats.Moves++
 }
 
 // ReplaceConfig swaps the chain's configuration for cfg — which must be
 // nonempty and connected — preserving the chain's parameters, random
-// stream and statistics, and rebuilding the particle index. It is how a
+// stream and statistics, and rebuilding the particle list. It is how a
 // sharded run's result is folded back into a serial chain: the chain
 // continues from the new configuration exactly as if its own steps had
 // produced it.
@@ -379,10 +383,7 @@ func (c *Chain) ReplaceConfig(cfg *psys.Config) error {
 	if !cfg.Connected() {
 		return ErrDisconnected
 	}
-	c.cfg = cfg
-	c.positions = cfg.Points()
-	c.reindex()
-	return nil
+	return c.setConfig(cfg)
 }
 
 // AbsorbStats folds externally performed proposal statistics (a sharded

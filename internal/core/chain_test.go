@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -121,15 +122,38 @@ func TestChainDeterminism(t *testing.T) {
 	}
 }
 
+// checkSlots audits the chain's particle list against its configuration's
+// window: each slot names an occupied cell, no slot repeats, and there are
+// n of them.
+func checkSlots(t *testing.T, ch *Chain, label string) {
+	t.Helper()
+	cfg := ch.Config()
+	if len(ch.slots) != cfg.N() {
+		t.Fatalf("%s: %d slots for %d particles", label, len(ch.slots), cfg.N())
+	}
+	cells := cfg.Cells()
+	seen := make([]bool, len(cells))
+	for k, s := range ch.slots {
+		if s < 0 || int(s) >= len(cells) || cells[s] == 0 {
+			t.Fatalf("%s: slot %d names cell %d, which holds no particle", label, k, s)
+		}
+		if seen[s] {
+			t.Fatalf("%s: slot %d repeats cell %d", label, k, s)
+		}
+		seen[s] = true
+	}
+}
+
 func TestChainInvariants(t *testing.T) {
 	// I1, I2, I8: after many steps from a line start, the system is
-	// connected, hole-free, color-conserving, and the particle index
+	// connected, hole-free, color-conserving, and the particle list
 	// matches the configuration.
 	cfg := mustInitial(t, LayoutLine, []int{15, 15}, 3)
 	ch, err := New(cfg, Params{Lambda: 4, Gamma: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSlots(t, ch, "new")
 	for round := 0; round < 10; round++ {
 		ch.Run(5000)
 		c := ch.Config()
@@ -145,25 +169,7 @@ func TestChainInvariants(t *testing.T) {
 		if c.N() != 30 {
 			t.Fatalf("round %d: particle count changed", round)
 		}
-		// Index consistency: every indexed position occupied, and the dense
-		// position index agrees slot-for-slot with the positions slice.
-		for i, p := range ch.positions {
-			if !c.Occupied(p) {
-				t.Fatalf("round %d: stale position %v in index", round, p)
-			}
-			if got := ch.posIndex[ch.posWin.Index(p)]; got != int32(i) {
-				t.Fatalf("round %d: posIndex[%v] = %d, want %d", round, p, got, i)
-			}
-		}
-		slots := 0
-		for _, s := range ch.posIndex {
-			if s >= 0 {
-				slots++
-			}
-		}
-		if slots != 30 {
-			t.Fatalf("round %d: index size %d", round, slots)
-		}
+		checkSlots(t, ch, fmt.Sprintf("round %d", round))
 	}
 	st := ch.Stats()
 	if st.Steps != 50000 {
@@ -177,6 +183,119 @@ func TestChainInvariants(t *testing.T) {
 	}
 	if st.Moves+st.Swaps+st.Rejected != st.Steps {
 		t.Fatalf("stats do not add up: %+v", st)
+	}
+}
+
+// TestChainSlotsAcrossRehome holds the slot invariants across an
+// expanding λ = 0.25 run, checked right after every move that re-homes the
+// window, and across ReplaceConfig onto a configuration with another
+// window: the rebased list must name the same particles in the same order.
+func TestChainSlotsAcrossRehome(t *testing.T) {
+	ch, err := New(mustInitial(t, LayoutSpiral, []int{5, 5}, 4), Params{Lambda: 0.25, Gamma: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := func() []lattice.Point {
+		out := make([]lattice.Point, len(ch.slots))
+		for k, s := range ch.slots {
+			out[k] = ch.cfg.Window().PointAt(int(s))
+		}
+		return out
+	}
+	rehomes := 0
+	for step := 0; step < 2_000_000 && rehomes < 5; step++ {
+		win, before := ch.cfg.Window(), points()
+		moved := ch.Step() == Moved
+		if ch.cfg.Window() == win {
+			continue
+		}
+		rehomes++
+		label := fmt.Sprintf("re-home %d at step %d", rehomes, step)
+		if !moved {
+			t.Fatalf("%s: the window changed on a step that moved nothing", label)
+		}
+		checkSlots(t, ch, label)
+		after, changed := points(), 0
+		for k := range after {
+			if after[k] != before[k] {
+				changed++
+			}
+		}
+		if changed != 1 {
+			t.Fatalf("%s: %d slots changed their particle, want the mover's alone", label, changed)
+		}
+	}
+	if rehomes < 5 {
+		t.Fatalf("only %d re-homes in 2,000,000 expanding steps", rehomes)
+	}
+
+	// Fold-back: a translated copy has a different window and the same
+	// canonical order, so the slots must name the translated points.
+	shift := lattice.Point{Q: 1000, R: -700}
+	parts := ch.Config().Particles()
+	for i := range parts {
+		parts[i].Pos = parts[i].Pos.Add(shift)
+	}
+	moved, err := psys.NewFrom(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.ReplaceConfig(moved); err != nil {
+		t.Fatal(err)
+	}
+	checkSlots(t, ch, "after ReplaceConfig")
+	for k, p := range points() {
+		if p != parts[k].Pos {
+			t.Fatalf("after ReplaceConfig: slot %d at %v, want %v in canonical order", k, p, parts[k].Pos)
+		}
+	}
+	ch.Run(20_000)
+	checkSlots(t, ch, "after ReplaceConfig and 20,000 steps")
+}
+
+// TestIndexGatherMatchesGeneral holds the chain's gather — GatherAt at a
+// slot's window index, ten fixed-offset loads from the padded plane — to
+// GatherPairFrom over the per-point read path, for every particle and
+// direction of live chains, every 1,000 steps and right after every
+// accepted move. At λ = 0.25 the configuration expands and
+// particles reach depth 1, where ring cells fall off the window onto the
+// border ring of the adjacent row or onto the plane's pad; the test
+// requires that it checked such particles.
+func TestIndexGatherMatchesGeneral(t *testing.T) {
+	for _, lambda := range []float64{0.25, 1, 4} {
+		depth1 := 0
+		for _, n := range []int{3, 10, 60, 300} {
+			ch, err := New(mustInitial(t, LayoutLine, Bichromatic(n), 2), Params{Lambda: lambda, Gamma: 2, Seed: uint64(n)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(step, s int) {
+				cfg := ch.Config()
+				win := cfg.Window()
+				p := win.PointAt(s)
+				inner := lattice.Window{Min: win.Min.Add(lattice.Point{Q: 1, R: 1}), W: win.W - 2, H: win.H - 2}
+				if !inner.Interior(p) {
+					depth1++
+				}
+				for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
+					if got, want := cfg.GatherAt(s, d), psys.GatherPairFrom(cfg.At, p, d); got != want {
+						t.Fatalf("λ=%v n=%d step %d: GatherAt(%v, %v) = %+v, GatherPairFrom %+v", lambda, n, step, p, d, got, want)
+					}
+				}
+			}
+			for step := 0; step < 40_000; step++ {
+				if ch.Step() != Moved && step%1000 != 999 {
+					continue
+				}
+				for _, s := range ch.Slots() {
+					check(step, int(s))
+				}
+			}
+		}
+		if lambda < 1 && depth1 == 0 {
+			t.Fatalf("λ=%v: no particle checked at depth 1", lambda)
+		}
+		t.Logf("λ=%v: %d particle checks at depth 1", lambda, depth1)
 	}
 }
 
@@ -416,6 +535,51 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if ch.Stats() != resumed.Stats() {
 		t.Fatal("resumed statistics diverged")
+	}
+}
+
+// TestCheckpointAfterRehome: a JSON checkpoint taken on the step right
+// after a move re-homed the window resumes the identical trajectory, with
+// the same selection order over the resumed configuration's own window.
+func TestCheckpointAfterRehome(t *testing.T) {
+	ch, err := New(mustInitial(t, LayoutSpiral, []int{5, 5}, 4), Params{Lambda: 0.25, Gamma: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for win := ch.cfg.Window(); ch.cfg.Window() == win; {
+		if ch.Stats().Steps > 2_000_000 {
+			t.Fatal("no re-home in 2,000,000 expanding steps")
+		}
+		ch.Step()
+	}
+	cp, err := ch.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cp.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Checkpoint
+	if err := decoded.UnmarshalJSON(blob); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(&decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSlots(t, resumed, "resumed")
+	for round := 0; round < 5; round++ {
+		ch.Run(20_000)
+		resumed.Run(20_000)
+		if ch.Config().CanonicalKey() != resumed.Config().CanonicalKey() || ch.Stats() != resumed.Stats() {
+			t.Fatalf("round %d: resumed trajectory diverged", round)
+		}
+		for k, s := range ch.Slots() {
+			if p, q := ch.cfg.Window().PointAt(int(s)), resumed.cfg.Window().PointAt(int(resumed.slots[k])); p != q {
+				t.Fatalf("round %d: slot %d at %v, resumed at %v", round, k, p, q)
+			}
+		}
 	}
 }
 

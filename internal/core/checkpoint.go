@@ -18,9 +18,9 @@ type Checkpoint struct {
 	// digits), recording the exact stream position.
 	Rng    string       `json:"rngState"`
 	Config *psys.Config `json:"config"`
-	// Order is the chain's internal particle-selection order (positions
-	// slice). Uniform particle choice draws an index into this slice, so
-	// trajectory-exact resumption must preserve it.
+	// Order is the chain's internal particle-selection order (the slot
+	// list, as points). Uniform particle choice draws an index into this
+	// list, so trajectory-exact resumption must preserve it.
 	Order [][2]int `json:"order"`
 	// Model and Couplings identify the dynamics for non-separation chains.
 	// Both are omitted for the separation model — its couplings live in
@@ -39,8 +39,10 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: serialize rng: %w", err)
 	}
-	order := make([][2]int, len(c.positions))
-	for i, p := range c.positions {
+	order := make([][2]int, len(c.slots))
+	win := c.cfg.Window()
+	for i, s := range c.slots {
+		p := win.PointAt(int(s))
 		order[i] = [2]int{p.Q, p.R}
 	}
 	cp := &Checkpoint{
@@ -99,7 +101,6 @@ func Resume(cp *Checkpoint) (*Chain, error) {
 		// The chain's configuration is connected (New verified it), so every
 		// occupied node indexes into the dense storage window; a window-sized
 		// bitmap detects duplicates without a map.
-		positions := make([]lattice.Point, len(cp.Order))
 		win := ch.cfg.Window()
 		seen := make([]bool, win.Area())
 		for i, qr := range cp.Order {
@@ -107,15 +108,13 @@ func Resume(cp *Checkpoint) (*Chain, error) {
 			if !ch.cfg.Occupied(p) {
 				return nil, fmt.Errorf("core: checkpoint order lists vacant node %v", p)
 			}
-			if j := win.Index(p); seen[j] {
+			j := win.Index(p)
+			if seen[j] {
 				return nil, fmt.Errorf("core: checkpoint order repeats node %v", p)
-			} else {
-				seen[j] = true
 			}
-			positions[i] = p
+			seen[j] = true
+			ch.slots[i] = int32(j)
 		}
-		ch.positions = positions
-		ch.reindex()
 	}
 	ch.stats = cp.Stats
 	if ch.sched != nil {

@@ -522,15 +522,11 @@ func (s *Sharded) runWorkerModel(w int, parts []lattice.Point, lo, hi int, budge
 		o := s.rule.Decide(&g, dE, r)
 		switch o {
 		case Moved:
-			if err := s.store.ApplyMove(l, lp); err != nil {
-				panic("core: invariant violation applying sharded move: " + err.Error())
-			}
+			s.store.CommitMove(l, &g)
 			parts[idx] = lp
 			st.Moves++
 		case Swapped:
-			if err := s.store.ApplySwap(l, lp); err != nil {
-				panic("core: invariant violation applying sharded swap: " + err.Error())
-			}
+			s.store.CommitSwap(l, &g)
 			st.Swaps++
 		default:
 			st.Rejected++

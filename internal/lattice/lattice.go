@@ -73,10 +73,9 @@ func (p Point) Neighbor(d Direction) Point { return p.Add(directions[d]) }
 
 // Neighbors returns the six vertices adjacent to p in counterclockwise
 // order starting from East.
-func (p Point) Neighbors() [NumDirections]Point {
-	var out [NumDirections]Point
-	for i, d := range directions {
-		out[i] = p.Add(d)
+func (p Point) Neighbors() (out [NumDirections]Point) {
+	for i := range directions {
+		out[i] = p.Add(directions[i])
 	}
 	return out
 }

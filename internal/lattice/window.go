@@ -61,15 +61,6 @@ func (w Window) Interior(p Point) bool {
 		p.R > w.Min.R && p.R < w.Min.R+w.H-1
 }
 
-// Interior2 reports whether p lies in the window at distance at least two
-// from every edge, so that every vertex within lattice distance two of p —
-// in particular the joint neighborhood ring of p and any neighbor — is
-// also in the window and reachable by constant index offsets from p.
-func (w Window) Interior2(p Point) bool {
-	return p.Q > w.Min.Q+1 && p.Q < w.Min.Q+w.W-2 &&
-		p.R > w.Min.R+1 && p.R < w.Min.R+w.H-2
-}
-
 // ContainsWindow reports whether every vertex of o lies in w. An empty o is
 // contained in anything.
 func (w Window) ContainsWindow(o Window) bool {

@@ -298,7 +298,7 @@ func TestConnectedNeverRefused(t *testing.T) {
 	}
 	lp := l.Neighbor(0)
 	win := c.Window()
-	if win.Interior2(l) || win.Interior(lp) {
+	if atDepth2(win, l) || win.Interior(lp) {
 		t.Fatalf("move %v→%v is not at the edge of window %+v", l, lp, win)
 	}
 	if !c.MoveValid(l, lp) {

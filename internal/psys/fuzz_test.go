@@ -74,8 +74,10 @@ func FuzzGridWindow(f *testing.F) {
 // (anchor, direction) gather must agree with the readable reference
 // implementations — Degree/DegreeExcluding, ColorDegree*, Property4 and
 // Property5 — on occupancy bits, packed colors, move validity and both
-// Metropolis exponents. This holds the table-driven kernel to the
-// specification on states far outside the chain's reachable set.
+// Metropolis exponents. The index gather at every particle must equal
+// GatherPairFrom over the per-point read path. This holds the
+// table-driven kernel to the specification on states far outside the
+// chain's reachable set.
 func FuzzGatherKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 1, 1})
@@ -83,6 +85,11 @@ func FuzzGatherKernel(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 0, 2, 0xc0, 9, 9, 1})
 	// Line of alternating colors: swap-heavy neighborhoods.
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 0, 3, 0, 1, 4, 0})
+	// The first particle opens the window [−8, 8]²; the rest sit at depth
+	// 1 in its four corners and on its four sides, where the index gather
+	// reads past the window's ends into the plane's pad.
+	f.Add([]byte{0, 0, 0, 1, 0xf9, 0xf9, 2, 7, 7, 1, 0xf9, 7, 2, 7, 0xf9,
+		1, 0, 0xf9, 2, 0, 7, 1, 0xf9, 0, 2, 7, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New()
@@ -107,6 +114,7 @@ func FuzzGatherKernel(f *testing.F) {
 		if err := c.CheckCounts(); err != nil {
 			t.Fatal(err)
 		}
+		checkIndexGather(t, c)
 		for _, l := range anchors {
 			for d := lattice.Direction(0); d < lattice.NumDirections; d++ {
 				checkGatherAgainstReference(t, c, l, d)

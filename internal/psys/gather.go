@@ -25,11 +25,12 @@ import (
 // reference implementations Property4On and Property5On, and all degree
 // quantities become popcounts of the packed masks against per-direction
 // adjacency masks. An accepted move or swap changes e(σ) and a(σ) only
-// by counts over the same ring, so Config.ApplyMove and ApplySwap commit
-// from one gather too: two cell writes plus the popcount exponents. The
-// reference methods (Degree, ColorDegree*, Property4, Property5, Remove,
-// Place) remain the specification; differential tests and
-// FuzzGatherKernel hold the kernel to them.
+// by counts over the same ring, so CommitMove and CommitSwap commit from
+// the gather the decision used: two cell writes plus the popcount
+// exponents (ApplyMove and ApplySwap gather once and commit the same
+// way). The reference methods (Degree, ColorDegree*, Property4,
+// Property5, Remove, Place) remain the specification; differential tests
+// and FuzzGatherKernel hold the kernel to them.
 
 // pairRingSize is the number of distinct cells adjacent to either
 // endpoint of a lattice edge, excluding the endpoints themselves.
@@ -156,22 +157,27 @@ func (c *Config) rebuildPairOffsets() {
 }
 
 // GatherPair reads the joint neighborhood of l and lp = l.Neighbor(dir)
-// in one pass. With l at depth ≥ 2 in the storage window — every step of a
-// warmed-up chain — every ring cell, and lp, which is then interior, sits
-// at a constant index offset from l, so the 10 cells (ring, l, lp) are 10
-// flat array loads at precomputed offsets; otherwise it falls back to
-// GatherPairFrom over the general per-point read path, producing the
-// identical packed view.
+// in one pass. With l at depth ≥ 1 in the storage window — every
+// particle, by the border-ring invariant — it is GatherAt at l's index;
+// otherwise l is a vacant cell on or outside the border ring, and it falls
+// back to GatherPairFrom over the general per-point read path, producing
+// the identical packed view.
 func (c *Config) GatherPair(l lattice.Point, dir lattice.Direction) PairGather {
-	if c.win.Interior2(l) {
-		return c.gatherAt(c.win.Index(l), dir)
+	if c.win.Interior(l) {
+		return c.GatherAt(c.win.Index(l), dir)
 	}
 	return GatherPairFrom(c.colorAt, l, dir)
 }
 
-// gatherAt is GatherPair's fast path for l at dense-store index base.
-func (c *Config) gatherAt(base int, dir lattice.Direction) PairGather {
-	return gatherCells(c.cells, base, &c.pairOff[dir], c.pairNb[dir], dir)
+// GatherAt is GatherPair for the cell at window index i, which must lie at
+// depth ≥ 1, as every particle's cell does: the 10 cells (ring, l, lp) are
+// 10 flat loads from the padded plane at precomputed offsets from i, with
+// no test and no point arithmetic. A ring cell off the window then lands
+// on a vacant cell of the border ring (a column past either side wraps to
+// the border column of the adjacent row) or on a pad byte, so the view is
+// exact.
+func (c *Config) GatherAt(i int, dir lattice.Direction) PairGather {
+	return gatherCells(c.plane, i+c.win.W+1, &c.pairOff[dir], c.pairNb[dir], dir)
 }
 
 // gatherCells packs the pair neighborhood of the cell at index base of a

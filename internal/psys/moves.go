@@ -83,104 +83,101 @@ func (c *Config) MoveValid(l, lp lattice.Point) bool {
 
 // ApplyMove moves the particle at l to the adjacent unoccupied node lp,
 // keeping its color and updating all edge statistics incrementally. It does
-// not re-check Property 4/5; callers decide validity via MoveValid.
-//
-// Where GatherPair takes its fast path the move commits from one gather:
-// the changed edges are exactly the occupied ring cells adjacent to lp
-// minus those adjacent to l (MoveExponents), which is what Remove(l) and
-// Place(lp) would count, and lp is interior, so the window never grows.
-// Elsewhere it is Remove(l) then Place(lp); if Place refuses lp with
-// ErrSpread, the particle goes back to l and the Config is unchanged.
+// not re-check Property 4/5; callers decide validity via MoveValid. It
+// gathers the pair once and commits like CommitMove.
 func (c *Config) ApplyMove(l, lp lattice.Point) error {
 	dir, ok := l.DirectionTo(lp)
 	if !ok {
 		return ErrNotAdjacent
 	}
-	if c.win.Interior2(l) {
-		base := c.win.Index(l)
-		g := c.gatherAt(base, dir)
-		col, ok := g.LColor()
-		if !ok {
-			return fmt.Errorf("move from %v: %w", l, ErrVacant)
-		}
-		if _, ok := g.LpColor(); ok {
-			return fmt.Errorf("move to %v: %w", lp, ErrOccupied)
-		}
-		c.cells[base] = 0
-		c.cells[base+int(c.pairNb[dir])] = uint8(col) + 1
+	if !c.win.Interior(l) { // every particle is interior
+		return fmt.Errorf("move from %v: %w", l, ErrVacant)
+	}
+	i := c.win.Index(l)
+	g := c.GatherAt(i, dir)
+	if _, ok := g.LColor(); !ok {
+		return fmt.Errorf("move from %v: %w", l, ErrVacant)
+	}
+	if _, ok := g.LpColor(); ok {
+		return fmt.Errorf("move to %v: %w", lp, ErrOccupied)
+	}
+	_, err := c.CommitMove(i, &g)
+	return err
+}
+
+// CommitMove commits a move of the particle at window index i along
+// g.Dir(), where g = GatherAt(i, g.Dir()) shows l occupied and lp vacant
+// and the store has not changed since — the gather a chain decided the
+// move from. It returns lp's window index in the window after the move.
+//
+// With lp at depth ≥ 1 the move commits from g: the changed edges are
+// exactly the occupied ring cells adjacent to lp minus those adjacent to
+// l (MoveExponents), which is what Remove(l) and Place(lp) would count,
+// and the window does not change. With lp on the border ring it is
+// Remove(l) then Place(lp), which re-homes the window; if Place refuses
+// lp with ErrSpread, the particle goes back to l and the Config is
+// unchanged.
+func (c *Config) CommitMove(i int, g *PairGather) (int, error) {
+	l := c.win.PointAt(i)
+	lp := l.Neighbor(g.dir)
+	col := uint8(g.ends)
+	if c.win.Interior(lp) {
+		j := i + int(c.pairNb[g.dir])
+		c.cells[i], c.cells[j] = 0, col
 		dl, dg := g.MoveExponents()
 		c.edges += dl
 		c.hom += dg
-		return nil
-	}
-	col, ok := c.At(l)
-	if !ok {
-		return fmt.Errorf("move from %v: %w", l, ErrVacant)
-	}
-	if c.Occupied(lp) {
-		return fmt.Errorf("move to %v: %w", lp, ErrOccupied)
+		return j, nil
 	}
 	if err := c.Remove(l); err != nil {
-		return err
+		return 0, err
 	}
-	if err := c.Place(lp, col); err != nil {
+	if err := c.Place(lp, Color(col-1)); err != nil {
 		// l is vacant now and interior to the unchanged window, so
 		// putting the particle back cannot fail.
-		_ = c.Place(l, col)
-		return fmt.Errorf("move to %v: %w", lp, err)
+		_ = c.Place(l, Color(col-1))
+		return 0, fmt.Errorf("move to %v: %w", lp, err)
 	}
-	return nil
+	return c.win.Index(lp), nil
 }
 
 // ApplySwap exchanges the particles at adjacent occupied nodes l and lp
 // (a swap move, §2.3). Swap moves never change the set of occupied nodes,
-// so they cannot disconnect the system or create holes. On GatherPair's
-// fast path it commits from one gather: e(σ) is unchanged and a(σ) moves
-// by SwapExponent, the recolored same-color adjacencies around the ring.
+// so they cannot disconnect the system or create holes. It gathers the
+// pair once and commits like CommitSwap; a swap of two same-colored
+// particles changes nothing.
 func (c *Config) ApplySwap(l, lp lattice.Point) error {
 	dir, ok := l.DirectionTo(lp)
 	if !ok {
 		return ErrNotAdjacent
 	}
-	if c.win.Interior2(l) {
-		base := c.win.Index(l)
-		g := c.gatherAt(base, dir)
-		cl, clp := uint8(g.ends), uint8(g.ends>>8)
-		if cl == 0 {
-			return fmt.Errorf("swap at %v: %w", l, ErrVacant)
-		}
-		if clp == 0 {
-			return fmt.Errorf("swap at %v: %w", lp, ErrVacant)
-		}
-		if cl == clp {
-			return nil
-		}
-		c.cells[base], c.cells[base+int(c.pairNb[dir])] = clp, cl
-		c.hom += g.SwapExponent()
-		return nil
-	}
-	cl, ok := c.At(l)
-	if !ok {
+	if !c.win.Interior(l) { // every particle is interior
 		return fmt.Errorf("swap at %v: %w", l, ErrVacant)
 	}
-	cp, ok := c.At(lp)
-	if !ok {
+	i := c.win.Index(l)
+	g := c.GatherAt(i, dir)
+	cl, clp := uint8(g.ends), uint8(g.ends>>8)
+	if cl == 0 {
+		return fmt.Errorf("swap at %v: %w", l, ErrVacant)
+	}
+	if clp == 0 {
 		return fmt.Errorf("swap at %v: %w", lp, ErrVacant)
 	}
-	if cl == cp {
-		return nil
+	if cl != clp {
+		c.CommitSwap(i, &g)
 	}
-	// Recolor in place: remove both, place both with exchanged colors.
-	if err := c.Remove(l); err != nil {
-		return err
-	}
-	if err := c.Remove(lp); err != nil {
-		return err
-	}
-	if err := c.Place(l, cp); err != nil {
-		return err
-	}
-	return c.Place(lp, cl)
+	return nil
+}
+
+// CommitSwap commits a swap of the particles at window index i and its
+// neighbor along g.Dir(), where g = GatherAt(i, g.Dir()) shows two
+// particles of different colors and the store has not changed since. Both
+// are particles, so both sit at depth ≥ 1 and the swap always commits
+// from g: e(σ) is unchanged and a(σ) moves by SwapExponent, the recolored
+// same-color adjacencies around the ring.
+func (c *Config) CommitSwap(i int, g *PairGather) {
+	c.cells[i], c.cells[i+int(c.pairNb[g.dir])] = uint8(g.ends>>8), uint8(g.ends)
+	c.hom += g.SwapExponent()
 }
 
 // localNeighborhood captures N(l ∪ lp) and S = N(l) ∩ N(lp) for the

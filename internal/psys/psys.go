@@ -37,6 +37,19 @@
 // particle adjacent to one already placed) succeeds. To build from a list
 // in any other order — a decoded file, a snapshot of another store — use
 // NewFrom, which checks the budget once for the whole list.
+//
+// The window's cells sit in the middle of a plane with W + 1 zero pad
+// bytes before and after them, for window width W. The chain's proposal
+// reads the 8-cell ring around a particle l and a neighbor at fixed index
+// offsets from l (GatherAt). Every particle is interior, at depth ≥ 1, and
+// from there a ring cell lies within two rows and two columns of l: a
+// column off either side wraps to the vacant border column of the
+// adjacent row, and a row off either end reaches at most W − 1 cells past
+// that end of the window. The pad is one row and one cell, W + 1 bytes,
+// which also covers the six neighbors of any window cell (at most W cells
+// past either end). So the fixed-offset read is exact for every particle,
+// with no depth test and no per-point fallback, and it costs 2(W + 1)
+// bytes per window.
 package psys
 
 import (
@@ -70,8 +83,14 @@ type Config struct {
 	// Invariants: every particle lies in win.Interior (the border ring is
 	// vacant), and the window is re-homed only by grow or NewFrom, each
 	// within the area budget for the particle count it grows for.
+	//
+	// cells is the middle of plane, which adds win.W + 1 zero bytes before
+	// and after it (see the package doc's Storage section): the fixed-offset
+	// gather reads plane[win.W+1+i+off] for a cell at window index i, and
+	// never writes the pad.
 	win   lattice.Window
 	cells []uint8
+	plane []uint8
 
 	n          int
 	edges      int
@@ -129,8 +148,7 @@ func NewFrom(particles []Particle) (*Config, error) {
 	if !ok {
 		return nil, fmt.Errorf("%d particles spanning %v..%v: %w", n, lo, hi, ErrSpread)
 	}
-	c.win, c.cells = win, make([]uint8, win.Area())
-	c.rebuildPairOffsets()
+	c.home(win)
 	for _, pt := range particles {
 		if err := c.Place(pt.Pos, pt.Color); err != nil {
 			return nil, fmt.Errorf("particle at %v: %w", pt.Pos, err)
@@ -151,7 +169,7 @@ func (c *Config) colorAt(p lattice.Point) (Color, bool) {
 
 // growMargin is the vacant slack added around the bounding box on every
 // window growth: large enough that a configuration must drift a while to
-// trigger the next O(area) reindex, small relative to the area budget.
+// trigger the next O(area) re-home, small relative to the area budget.
 func growMargin(n int) int {
 	m := 8
 	for s := 1; s*s <= n; s++ { // + isqrt(n)
@@ -230,36 +248,33 @@ func (c *Config) grow(p lattice.Point) bool {
 			return false
 		}
 	}
-	cells := make([]uint8, nw.Area())
-	if !c.win.Empty() {
-		// Copy the old window into the new layout, row by row, keeping only
-		// rows and columns the new window still covers (a tight-cover retry
-		// may drop vacant fringe).
-		for r := 0; r < c.win.H; r++ {
-			rowR := c.win.Min.R + r
-			if rowR < nw.Min.R || rowR > nw.Max().R {
-				continue
-			}
-			srcLo, dstLo := c.win.Min.Q, nw.Min.Q
-			if srcLo < dstLo {
-				srcLo = dstLo
-			}
-			srcHi, dstHi := c.win.Max().Q, nw.Max().Q
-			if srcHi > dstHi {
-				srcHi = dstHi
-			}
-			if srcHi < srcLo {
-				continue
-			}
-			src := c.cells[c.win.Index(lattice.Point{Q: srcLo, R: rowR}):]
-			src = src[:srcHi-srcLo+1]
-			dst := cells[nw.Index(lattice.Point{Q: srcLo, R: rowR}):]
-			copy(dst, src)
+	ow, old := c.win, c.cells
+	c.home(nw)
+	// Copy the old window into the new layout, row by row, keeping only
+	// rows and columns the new window still covers (a tight-cover retry
+	// may drop vacant fringe).
+	for r := 0; r < ow.H; r++ {
+		rowR := ow.Min.R + r
+		if rowR < nw.Min.R || rowR > nw.Max().R {
+			continue
 		}
+		srcLo, srcHi := max(ow.Min.Q, nw.Min.Q), min(ow.Max().Q, nw.Max().Q)
+		if srcHi < srcLo {
+			continue
+		}
+		src := old[ow.Index(lattice.Point{Q: srcLo, R: rowR}):]
+		copy(c.cells[nw.Index(lattice.Point{Q: srcLo, R: rowR}):], src[:srcHi-srcLo+1])
 	}
-	c.win, c.cells = nw, cells
-	c.rebuildPairOffsets()
 	return true
+}
+
+// home points the store at a fresh all-vacant plane for window w: w's
+// cells with w.W + 1 zero pad bytes on either side.
+func (c *Config) home(w lattice.Window) {
+	pad, area := w.W+1, w.Area()
+	c.plane = make([]uint8, area+2*pad)
+	c.win, c.cells = w, c.plane[pad:pad+area:pad+area]
+	c.rebuildPairOffsets()
 }
 
 // Place adds a particle of color col at p, updating edge statistics. If p
@@ -472,6 +487,14 @@ func (c *Config) Particles() []Particle {
 	return out
 }
 
+// AppendIndices appends the window index of every particle to dst in
+// canonical point order, the order of ForEach and Points. The window's
+// area must fit an int32.
+func (c *Config) AppendIndices(dst []int32) []int32 {
+	c.ForEach(func(p lattice.Point, _ Color) { dst = append(dst, int32(c.win.Index(p))) })
+	return dst
+}
+
 // Points returns all occupied points in canonical point order.
 func (c *Config) Points() []lattice.Point {
 	out := make([]lattice.Point, 0, c.n)
@@ -528,8 +551,11 @@ func (c *Config) Hash() uint64 {
 // Clone returns a deep copy of the configuration.
 func (c *Config) Clone() *Config {
 	cp := *c
-	cp.cells = make([]uint8, len(c.cells))
-	copy(cp.cells, c.cells)
+	if c.plane != nil {
+		pad := c.win.W + 1
+		cp.plane = append([]uint8(nil), c.plane...)
+		cp.cells = cp.plane[pad : pad+len(c.cells) : pad+len(c.cells)]
+	}
 	return &cp
 }
 

@@ -17,16 +17,16 @@ import (
 // rather than the 10 GiB a single dense window would need.
 //
 // Concurrency contract. Reads (At, Occupied, GatherPair) are safe at any
-// time. Place and Remove are construction-time operations and must not
-// run concurrently with anything. ApplyMove and ApplySwap may run
-// concurrently from multiple workers provided the caller serializes
-// operations whose joint (l, lp) neighborhoods overlap — the sharded
-// executor in internal/core does so with band ownership plus striped
-// region locks — in which case every cell access is either exclusive or
-// ordered by the caller's synchronization, and the statistic updates are
-// atomic. Under that discipline the store behaves exactly like Config
-// under the equivalent serial operation sequence, which the lockstep
-// differential tests and the serializability audit enforce.
+// time. Place and Remove are construction-time operations and must not run
+// concurrently with anything. ApplyMove, ApplySwap, CommitMove and
+// CommitSwap may run concurrently from multiple workers provided the
+// caller serializes operations whose joint (l, lp) neighborhoods overlap —
+// the sharded executor in internal/core does so with band ownership plus
+// striped region locks — in which case every cell access is either
+// exclusive or ordered by the caller's synchronization, and the statistic
+// updates are atomic. Under that discipline the store behaves exactly like
+// Config under the equivalent serial operation sequence, which the
+// lockstep differential tests and the serializability audit enforce.
 //
 // The directory is an open-addressing hash table of tile pointers,
 // published through an atomic pointer (RCU): readers never lock; tile
@@ -271,112 +271,78 @@ func (s *TileStore) Remove(p lattice.Point) error {
 
 // ApplyMove moves the particle at l to the adjacent unoccupied node lp,
 // keeping its color and updating edge statistics with two atomic adds.
-// Safe for concurrent use under the store's concurrency contract.
+// It gathers the pair once and commits like CommitMove. Safe for
+// concurrent use under the store's concurrency contract.
 func (s *TileStore) ApplyMove(l, lp lattice.Point) error {
-	if !l.Adjacent(lp) {
+	dir, ok := l.DirectionTo(lp)
+	if !ok {
 		return ErrNotAdjacent
 	}
-	src := s.plane(l)
-	srcIdx := lattice.TileIndex(l)
-	if src == nil || src.cells[srcIdx] == 0 {
+	g := s.GatherPair(l, dir)
+	if _, ok := g.LColor(); !ok {
 		return fmt.Errorf("move from %v: %w", l, ErrVacant)
 	}
-	col := Color(src.cells[srcIdx] - 1)
-	dst := s.ensureTile(lattice.TileOf(lp))
-	dstIdx := lattice.TileIndex(lp)
-	if dst.cells[dstIdx] != 0 {
+	if _, ok := g.LpColor(); ok {
 		return fmt.Errorf("move to %v: %w", lp, ErrOccupied)
 	}
-	// Mirror Config.ApplyMove = Remove(l) then Place(lp): scan l's
-	// neighbors, clear l, then scan lp's neighbors (l now vacant).
-	var de, da int64
-	for _, nb := range l.Neighbors() {
-		if v := s.cellAt(nb); v != 0 {
-			de--
-			if Color(v-1) == col {
-				da--
-			}
-		}
-	}
-	src.cells[srcIdx] = 0
-	for _, nb := range lp.Neighbors() {
-		if v := s.cellAt(nb); v != 0 {
-			de++
-			if Color(v-1) == col {
-				da++
-			}
-		}
-	}
-	dst.cells[dstIdx] = uint8(col) + 1
+	s.CommitMove(l, &g)
+	return nil
+}
+
+// CommitMove commits a move of the particle at l along g.Dir(), where
+// g = GatherPair(l, g.Dir()) shows l occupied and lp vacant and the
+// pair's neighborhood has not changed since — the gather a worker decided
+// the move from. The changed edges are MoveExponents, the counts
+// Remove(l) then Place(lp) would make. Safe for concurrent use under the
+// store's concurrency contract.
+func (s *TileStore) CommitMove(l lattice.Point, g *PairGather) {
+	lp := l.Neighbor(g.dir)
+	s.plane(l).cells[lattice.TileIndex(l)] = 0
+	s.ensureTile(lattice.TileOf(lp)).cells[lattice.TileIndex(lp)] = uint8(g.ends)
+	de, da := g.MoveExponents()
 	if de != 0 {
-		s.edges.Add(de)
+		s.edges.Add(int64(de))
 	}
 	if da != 0 {
-		s.hom.Add(da)
+		s.hom.Add(int64(da))
+	}
+}
+
+// ApplySwap exchanges the particles at adjacent occupied nodes l and lp.
+// Same-colored swaps are a no-op, as in Config.ApplySwap. It gathers the
+// pair once and commits like CommitSwap. Safe for concurrent use under
+// the store's concurrency contract.
+func (s *TileStore) ApplySwap(l, lp lattice.Point) error {
+	dir, ok := l.DirectionTo(lp)
+	if !ok {
+		return ErrNotAdjacent
+	}
+	g := s.GatherPair(l, dir)
+	cl, clp := uint8(g.ends), uint8(g.ends>>8)
+	if cl == 0 {
+		return fmt.Errorf("swap at %v: %w", l, ErrVacant)
+	}
+	if clp == 0 {
+		return fmt.Errorf("swap at %v: %w", lp, ErrVacant)
+	}
+	if cl != clp {
+		s.CommitSwap(l, &g)
 	}
 	return nil
 }
 
-// ApplySwap exchanges the particles at adjacent occupied nodes l and lp.
-// Same-colored swaps are a no-op, as in Config.ApplySwap. Safe for
-// concurrent use under the store's concurrency contract.
-func (s *TileStore) ApplySwap(l, lp lattice.Point) error {
-	if !l.Adjacent(lp) {
-		return ErrNotAdjacent
+// CommitSwap commits a swap of the particles at l and its neighbor along
+// g.Dir(), where g = GatherPair(l, g.Dir()) shows two particles of
+// different colors and the pair's neighborhood has not changed since.
+// Occupancy is unchanged, so e(σ) is too; a(σ) moves by SwapExponent.
+// Safe for concurrent use under the store's concurrency contract.
+func (s *TileStore) CommitSwap(l lattice.Point, g *PairGather) {
+	lp := l.Neighbor(g.dir)
+	s.plane(l).cells[lattice.TileIndex(l)] = uint8(g.ends >> 8)
+	s.plane(lp).cells[lattice.TileIndex(lp)] = uint8(g.ends)
+	if da := g.SwapExponent(); da != 0 {
+		s.hom.Add(int64(da))
 	}
-	pl := s.plane(l)
-	li := lattice.TileIndex(l)
-	if pl == nil || pl.cells[li] == 0 {
-		return fmt.Errorf("swap at %v: %w", l, ErrVacant)
-	}
-	pp := s.plane(lp)
-	pi := lattice.TileIndex(lp)
-	if pp == nil || pp.cells[pi] == 0 {
-		return fmt.Errorf("swap at %v: %w", lp, ErrVacant)
-	}
-	ci := Color(pl.cells[li] - 1)
-	cj := Color(pp.cells[pi] - 1)
-	if ci == cj {
-		return nil
-	}
-	// Swaps preserve occupancy, so e is unchanged; a changes by the
-	// recolored adjacencies around each endpoint. The shared l–lp edge
-	// stays heterogeneous (ci ≠ cj) and is excluded from both scans.
-	var da int64
-	for _, nb := range l.Neighbors() {
-		if nb == lp {
-			continue
-		}
-		if v := s.cellAt(nb); v != 0 {
-			c := Color(v - 1)
-			if c == cj {
-				da++
-			}
-			if c == ci {
-				da--
-			}
-		}
-	}
-	for _, nb := range lp.Neighbors() {
-		if nb == l {
-			continue
-		}
-		if v := s.cellAt(nb); v != 0 {
-			c := Color(v - 1)
-			if c == ci {
-				da++
-			}
-			if c == cj {
-				da--
-			}
-		}
-	}
-	pl.cells[li] = uint8(cj) + 1
-	pp.cells[pi] = uint8(ci) + 1
-	if da != 0 {
-		s.hom.Add(da)
-	}
-	return nil
 }
 
 // forEachTile invokes f with every directory tile, in directory (hash)

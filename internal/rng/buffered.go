@@ -33,12 +33,14 @@ func NewBuffered(seed uint64) *Buffered {
 	return b
 }
 
-// refill fetches the next bufLen draws from the underlying generator.
+// refill fetches the next bufLen draws from the underlying generator. It
+// runs once per bufLen draws; kept out of line, it leaves Uint64 small
+// enough to inline into every caller.
+//
+//go:noinline
 func (b *Buffered) refill() {
 	b.mark = b.src
-	for k := range b.buf {
-		b.buf[k] = b.src.Uint64()
-	}
+	b.src.fill(b.buf[:])
 	b.i, b.n = 0, bufLen
 }
 

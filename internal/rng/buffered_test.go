@@ -100,3 +100,11 @@ func TestBufferedTextRoundTrip(t *testing.T) {
 		t.Fatalf("text round trip changed state: %s != %s", enc, reenc)
 	}
 }
+
+// BenchmarkBufferedRefill times one refill of the 64-draw buffer.
+func BenchmarkBufferedRefill(b *testing.B) {
+	buf := NewBuffered(1)
+	for i := 0; i < b.N; i++ {
+		buf.refill()
+	}
+}

@@ -39,15 +39,33 @@ func New(seed uint64) *Source {
 
 // Uint64 returns the next pseudorandom 64-bit value.
 func (r *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = bits.RotateLeft64(r.s[3], 45)
-	return result
+	v, s0, s1, s2, s3 := next(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return v
+}
+
+// fill writes the next len(dst) values of the stream into dst. The state
+// words stay in registers across the loop and are stored back once, where
+// len(dst) calls of Uint64 would load and store all four per value.
+func (r *Source) fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for k := range dst {
+		dst[k], s0, s1, s2, s3 = next(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// next is one xoshiro256** step: the output of state (s0, s1, s2, s3) and
+// the successor state.
+func next(s0, s1, s2, s3 uint64) (v, n0, n1, n2, n3 uint64) {
+	v = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return v, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

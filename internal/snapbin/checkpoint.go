@@ -2,6 +2,7 @@ package snapbin
 
 import (
 	"fmt"
+	"math"
 
 	"sops/internal/lattice"
 	"sops/internal/psys"
@@ -44,6 +45,10 @@ type Checkpoint struct {
 	Rng    []byte
 	Config *psys.Config
 	Order  []lattice.Point
+	// Slots, when non-nil, is the order the encoder writes instead of
+	// Order, as indices into Config.Window() — a chain's own slot list,
+	// encoded without building the points. Decoding fills Order only.
+	Slots []int32
 
 	// Model tags the dynamics for non-separation checkpoints ("" means
 	// separation); Couplings is its full coupling vector in model order.
@@ -88,9 +93,10 @@ func (e *Encoder) EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	buf = appendU64(buf, cp.Rejected)
 	buf = append(buf, cp.Rng...)
 	buf = e.appendConfig(buf, cfg)
-	if cp.Order == nil {
-		buf = append(buf, 0)
-	} else {
+	switch {
+	case cp.Slots != nil:
+		buf = appendSlotOrder(append(buf, 1), cfg.Window(), cp.Slots)
+	case cp.Order != nil:
 		buf = append(buf, 1)
 		prev := lattice.Point{}
 		for _, p := range cp.Order {
@@ -98,6 +104,8 @@ func (e *Encoder) EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 			buf = AppendVarint(buf, int64(p.R-prev.R))
 			prev = p
 		}
+	default:
+		buf = append(buf, 0)
 	}
 	if cp.Model != "" && cp.Model != "separation" {
 		buf = AppendString(buf, cp.Model)
@@ -108,6 +116,31 @@ func (e *Encoder) EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	}
 	e.buf = buf
 	return buf, nil
+}
+
+// appendSlotOrder appends the order entries for slots, indices into win:
+// each point's Q and R as varint deltas from the previous point's, the
+// bytes the Order loop writes for the same points. A chain's slot list
+// starts in canonical column order and only accepted moves rewrite its
+// entries, so most slots name the cell one row above the slot before
+// them. That entry, deltas (0, 1), is the two bytes 0x00 0x02 and needs
+// no conversion; the others convert through Window.PointAt.
+func appendSlotOrder(buf []byte, win lattice.Window, slots []int32) []byte {
+	up := int32(win.W)
+	prev, last := lattice.Point{}, int32(math.MinInt32) // last+up matches no slot
+	for _, s := range slots {
+		if s == last+up {
+			buf = append(buf, 0, 2)
+			prev.R++
+		} else {
+			p := win.PointAt(int(s))
+			buf = AppendVarint(buf, int64(p.Q-prev.Q))
+			buf = AppendVarint(buf, int64(p.R-prev.R))
+			prev = p
+		}
+		last = s
+	}
+	return buf
 }
 
 // DecodeCheckpoint decodes a bare KindCheckpoint frame. Every structural

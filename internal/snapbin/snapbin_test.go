@@ -239,6 +239,64 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointSlotsEncodeLikeOrder: an order given as window indices
+// (a chain's slot list) encodes to the same frame as the same order given
+// as points — in canonical column order, where most slots sit one row
+// above the slot before them, with a tenth of the entries swapped, and
+// shuffled.
+func TestCheckpointSlotsEncodeLikeOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var rhombus []psys.Particle
+	for q := 0; q < 30; q++ {
+		for rr := 0; rr < 30; rr++ {
+			rhombus = append(rhombus, psys.Particle{Pos: lattice.Point{Q: q - 15, R: rr + 40}, Color: psys.Color((q + rr) % 2)})
+		}
+	}
+	compact, err := psys.NewFrom(rhombus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]*psys.Config{
+		"single":    mustPlace(t, []lattice.Point{{Q: 5, R: -3}}, []psys.Color{1}),
+		"negative":  randomConfig(t, r, 60, 2, 20, lattice.Point{Q: -300, R: -451}),
+		"multitile": randomConfig(t, r, 400, 2, 200, lattice.Point{Q: -100, R: -100}),
+		"compact":   compact,
+	} {
+		for _, mix := range []string{"canonical", "swapped", "shuffled"} {
+			slots := cfg.AppendIndices(nil)
+			switch mix {
+			case "swapped":
+				for k := 0; k < len(slots)/10; k++ {
+					i, j := r.Intn(len(slots)), r.Intn(len(slots))
+					slots[i], slots[j] = slots[j], slots[i]
+				}
+			case "shuffled":
+				r.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
+			}
+			order := make([]lattice.Point, len(slots))
+			for i, s := range slots {
+				order[i] = cfg.Window().PointAt(int(s))
+			}
+			var a, b Encoder
+			byPoints := checkpointFor(cfg, false)
+			byPoints.Order = order
+			bySlots := checkpointFor(cfg, false)
+			bySlots.Slots = slots
+			fa, err := a.EncodeCheckpoint(byPoints)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb, err := b.EncodeCheckpoint(bySlots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fa, fb) {
+				t.Fatalf("%s, %s order: the slots encode differently from the same order as points", name, mix)
+			}
+		}
+	}
+}
+
 func TestCheckpointDisableSwaps(t *testing.T) {
 	cfg := mustPlace(t, []lattice.Point{{Q: 0}}, []psys.Color{0})
 	cp := checkpointFor(cfg, false)

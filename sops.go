@@ -779,7 +779,7 @@ func (s *System) encodeBinaryCheckpoint() ([]byte, error) {
 	s.cpView.Swaps, s.cpView.Rejected = st.Swaps, st.Rejected
 	s.cpView.Rng = s.chain.AppendRngState(s.cpView.Rng[:0])
 	s.cpView.Config = s.chain.Config()
-	s.cpView.Order = s.chain.Positions()
+	s.cpView.Slots = s.chain.Slots()
 	s.cpView.Model, s.cpView.Couplings = "", nil
 	if name := s.chain.ModelName(); name != "separation" {
 		// The model trailer travels only for non-separation chains, so
