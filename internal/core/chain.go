@@ -258,17 +258,6 @@ func (c *Chain) Snapshot() *psys.Config { return c.cfg.Clone() }
 // Stats returns the cumulative step statistics.
 func (c *Chain) Stats() Stats { return c.stats }
 
-// Slots returns the chain's live particle-selection order as indices into
-// Config().Window(). Callers must treat it as read-only and must not
-// retain it across steps — it is the chain's own slice, exposed so
-// checkpoint writers can serialize the order without copying.
-func (c *Chain) Slots() []int32 { return c.slots }
-
-// AppendRngState appends the 32-byte binary form of the chain's random
-// stream position to dst without allocating — the binary counterpart of
-// the textual state in Checkpoint.Rng.
-func (c *Chain) AppendRngState(dst []byte) []byte { return c.rand.AppendState(dst) }
-
 // probeBatch is the number of steps between probe publishes on the Step hot
 // path: large enough that the four atomic adds and the batch check are
 // invisible next to the step kernel, small enough that a live reader is at

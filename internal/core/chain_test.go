@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -287,7 +288,7 @@ func TestIndexGatherMatchesGeneral(t *testing.T) {
 				if ch.Step() != Moved && step%1000 != 999 {
 					continue
 				}
-				for _, s := range ch.Slots() {
+				for _, s := range ch.slots {
 					check(step, int(s))
 				}
 			}
@@ -509,10 +510,8 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch.Run(30000)
-	cp, err := ch.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cp Checkpoint
+	ch.Checkpoint(&cp)
 	blob, err := cp.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -552,10 +551,8 @@ func TestCheckpointAfterRehome(t *testing.T) {
 		}
 		ch.Step()
 	}
-	cp, err := ch.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cp Checkpoint
+	ch.Checkpoint(&cp)
 	blob, err := cp.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -575,7 +572,7 @@ func TestCheckpointAfterRehome(t *testing.T) {
 		if ch.Config().CanonicalKey() != resumed.Config().CanonicalKey() || ch.Stats() != resumed.Stats() {
 			t.Fatalf("round %d: resumed trajectory diverged", round)
 		}
-		for k, s := range ch.Slots() {
+		for k, s := range ch.slots {
 			if p, q := ch.cfg.Window().PointAt(int(s)), resumed.cfg.Window().PointAt(int(resumed.slots[k])); p != q {
 				t.Fatalf("round %d: slot %d at %v, resumed at %v", round, k, p, q)
 			}
@@ -583,14 +580,41 @@ func TestCheckpointAfterRehome(t *testing.T) {
 	}
 }
 
+// TestResumeValidation: Resume, the one place a checkpoint's state is
+// checked, refuses a missing configuration, a generator state that is
+// not 32 bytes or is all zero, and an order that does not name every
+// particle's cell once, each with ErrBadCheckpoint.
 func TestResumeValidation(t *testing.T) {
-	if _, err := Resume(&Checkpoint{}); err == nil {
-		t.Fatal("empty checkpoint accepted")
+	if _, err := Resume(&Checkpoint{}); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("empty checkpoint: %v, want ErrBadCheckpoint", err)
 	}
-	cfg := mustInitial(t, LayoutSpiral, []int{3, 3}, 1)
-	cp := &Checkpoint{Params: Params{Lambda: 2, Gamma: 2}, Rng: "zz", Config: cfg}
-	if _, err := Resume(cp); err == nil {
-		t.Fatal("corrupt rng state accepted")
+	valid := func() *Checkpoint {
+		ch, err := New(mustInitial(t, LayoutSpiral, []int{3, 3}, 1), Params{Lambda: 2, Gamma: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.Run(100)
+		var cp Checkpoint
+		ch.Checkpoint(&cp)
+		return &cp
+	}
+	if _, err := Resume(valid()); err != nil {
+		t.Fatal(err)
+	}
+	for name, spoil := range map[string]func(cp *Checkpoint){
+		"short rng":     func(cp *Checkpoint) { cp.Rng = []byte("zz") },
+		"zero rng":      func(cp *Checkpoint) { cp.Rng = make([]byte, 32) },
+		"short order":   func(cp *Checkpoint) { cp.Slots = cp.Slots[1:] },
+		"outside order": func(cp *Checkpoint) { cp.Slots[2] = -1 },
+		"beyond order":  func(cp *Checkpoint) { cp.Slots[2] = int32(cp.Config.Window().Area()) },
+		"vacant order":  func(cp *Checkpoint) { cp.Slots[2] = 0 }, // the window's corner, on its vacant border
+		"repeat order":  func(cp *Checkpoint) { cp.Slots[2] = cp.Slots[4] },
+	} {
+		cp := valid()
+		spoil(cp)
+		if _, err := Resume(cp); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: %v, want ErrBadCheckpoint", name, err)
+		}
 	}
 }
 

@@ -246,10 +246,10 @@ func CouplingIndex(m Model, name string) int {
 
 // BindModel is the construction step every executor shares. It binds m
 // to the configuration's color count (nil selects Separation), copies
-// coup or takes the model's defaults, sets params.Lambda/Gamma from the
-// couplings of those names so surfaces reading Params stay meaningful, and
-// validates both — params first, so a bad λ or γ is reported in Params'
-// own terms.
+// coup or takes the model's defaults, validates the couplings, and sets
+// params.Lambda/Gamma from the couplings of those names so surfaces
+// reading Params stay meaningful. The couplings are validated before they
+// are read, so a vector of the wrong length fails with ErrBadCoupling.
 func BindModel(m Model, numColors int, params Params, coup []float64) (Model, Params, []float64, error) {
 	if m == nil {
 		m = Separation
@@ -262,13 +262,10 @@ func BindModel(m Model, numColors int, params Params, coup []float64) (Model, Pa
 	} else {
 		coup = append([]float64(nil), coup...)
 	}
-	params.Lambda, params.Gamma = lambdaGamma(m, coup)
-	if err := params.Validate(); err != nil {
-		return nil, params, nil, err
-	}
 	if err := ValidateCouplings(m, coup); err != nil {
 		return nil, params, nil, err
 	}
+	params.Lambda, params.Gamma = lambdaGamma(m, coup)
 	return m, params, coup, nil
 }
 

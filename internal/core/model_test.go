@@ -64,6 +64,19 @@ func TestValidateCouplings(t *testing.T) {
 	}
 }
 
+// TestNewWithModelShortCouplings: a coupling vector shorter than the
+// model's fails with ErrBadCoupling, before any coupling is read.
+func TestNewWithModelShortCouplings(t *testing.T) {
+	for _, m := range []Model{Separation, Alignment, Anneal} {
+		for _, coup := range [][]float64{{}, DefaultCouplings(m)[:1]} {
+			cfg := mustInitial(t, LayoutSpiral, []int{3, 3, 3}, 1)
+			if _, err := NewWithModel(cfg, Params{Seed: 1}, m, coup); !errors.Is(err, ErrBadCoupling) {
+				t.Errorf("%s with couplings %v: %v, want ErrBadCoupling", m.Name(), coup, err)
+			}
+		}
+	}
+}
+
 // checkModelTables holds mt, built for m at effective couplings eff, to
 // the seed rule: every exponent vector dE indexes the threshold
 // acceptThreshold(Π_i eff_i^dE_i), the product of math.Pow terms formed
@@ -302,11 +315,9 @@ func TestRotationCovariance(t *testing.T) {
 // differential comparison.
 func chainFingerprint(t *testing.T, c *Chain) (Stats, uint64, string) {
 	t.Helper()
-	cp, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.Stats(), c.Config().Hash(), cp.Rng
+	var cp Checkpoint
+	c.Checkpoint(&cp)
+	return c.Stats(), c.Config().Hash(), string(cp.Rng)
 }
 
 // TestAlignmentExponentsMatchEnergy is the correctness audit for the
@@ -438,10 +449,8 @@ func TestAlignmentCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch.Run(30_000)
-	cp, err := ch.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cp Checkpoint
+	ch.Checkpoint(&cp)
 	if cp.Model != "alignment" {
 		t.Fatalf("checkpoint model %q", cp.Model)
 	}
@@ -533,10 +542,8 @@ func TestAnnealCheckpointExactResume(t *testing.T) {
 
 	split := mk()
 	split.Run(3_100) // inside stage 1, boundary at 4_000 ahead
-	cp, err := split.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cp Checkpoint
+	split.Checkpoint(&cp)
 	if cp.Model != "anneal" || len(cp.Couplings) != 4 {
 		t.Fatalf("anneal checkpoint carries model %q couplings %v", cp.Model, cp.Couplings)
 	}

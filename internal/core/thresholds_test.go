@@ -74,16 +74,16 @@ func TestAcceptConsumesDrawExactlyWhenSeedDid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := ch.rand.MarshalText()
+	before := ch.rand.AppendState(nil)
 	if !acceptDraw(ch.rand, probScale) {
 		t.Fatal("sentinel threshold must accept")
 	}
-	after, _ := ch.rand.MarshalText()
+	after := ch.rand.AppendState(nil)
 	if string(before) != string(after) {
 		t.Fatal("sentinel threshold consumed a random draw")
 	}
 	acceptDraw(ch.rand, probScale/2)
-	after2, _ := ch.rand.MarshalText()
+	after2 := ch.rand.AppendState(nil)
 	if string(after) == string(after2) {
 		t.Fatal("sub-unit threshold consumed no random draw")
 	}

@@ -477,6 +477,38 @@ func TestManagerRunSuspendResume(t *testing.T) {
 	}
 }
 
+// TestRestoreRunResumesOwnCheckpoint: a run job's checkpoint written at
+// step k restores at step k, also for specs whose restored Params differ
+// from their scalar Options — an alignment run that leaves Gamma unset
+// (alignment declares no γ, so the restored γ reads 1), an anneal run at
+// its default couplings, and a separation run whose Couplings override
+// its scalars.
+func TestRestoreRunResumesOwnCheckpoint(t *testing.T) {
+	specs := map[string]*RunJob{
+		"alignment": {Options: sops.Options{Counts: []int{4, 4, 4}, Model: "alignment", Lambda: 4, Seed: 1}, Steps: 50_000},
+		"anneal":    {Options: sops.Options{Counts: []int{6, 6}, Model: "anneal", Seed: 2}, Steps: 50_000},
+		"separation-couplings": {Options: sops.Options{Counts: []int{6, 6}, Lambda: 4, Gamma: 4,
+			Couplings: map[string]float64{"gamma": 2}, Seed: 3}, Steps: 50_000},
+	}
+	const k = 20_000
+	for name, rj := range specs {
+		sys, err := sops.New(rj.Options)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sys.RunSteps(k)
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := sys.WriteCheckpoint(path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := restoreRun(path, rj); got == nil {
+			t.Errorf("%s: checkpoint at step %d discarded; the job restarts from step 0", name, k)
+		} else if got.Steps() != k {
+			t.Errorf("%s: restored at step %d, want %d", name, got.Steps(), k)
+		}
+	}
+}
+
 // TestManagerModelJobsSuspendResume closes the pluggable-dynamics loop at
 // the daemon layer: an annealed run job (whose γ schedule crosses stage
 // boundaries mid-checkpoint) and an alignment coupling-axis sweep both

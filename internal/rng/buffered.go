@@ -111,21 +111,3 @@ func (b *Buffered) SetState(s *Source) {
 	b.mark = *s
 	b.i, b.n = 0, 0
 }
-
-// MarshalText encodes the logical stream position in Source's textual
-// codec (64 hex digits), so buffered and unbuffered checkpoints are
-// interchangeable.
-func (b *Buffered) MarshalText() ([]byte, error) {
-	return b.State().MarshalText()
-}
-
-// UnmarshalText restores a stream position written by MarshalText (of
-// either a Source or a Buffered).
-func (b *Buffered) UnmarshalText(data []byte) error {
-	var s Source
-	if err := s.UnmarshalText(data); err != nil {
-		return err
-	}
-	b.SetState(&s)
-	return nil
-}

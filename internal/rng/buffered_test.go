@@ -58,25 +58,23 @@ func TestBufferedState(t *testing.T) {
 	}
 }
 
-// TestBufferedTextRoundTrip: the textual codec is interchangeable with
-// Source's, and round-trips mid-buffer.
-func TestBufferedTextRoundTrip(t *testing.T) {
+// TestBufferedStateRoundTrip: AppendState writes the logical stream
+// position mid-buffer in Source's binary codec, and a Buffered restored
+// from it continues the identical stream and re-encodes the same bytes.
+func TestBufferedStateRoundTrip(t *testing.T) {
 	b := NewBuffered(7)
 	for k := 0; k < 13; k++ {
 		b.Uint64()
 	}
-	enc, err := b.MarshalText()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A bare Source restored from the same text must produce the same tail.
+	enc := b.AppendState(nil)
 	var s Source
-	if err := s.UnmarshalText(enc); err != nil {
+	if err := s.UnmarshalBinary(enc); err != nil {
 		t.Fatal(err)
 	}
 	b2 := NewBuffered(0)
-	if err := b2.UnmarshalText(enc); err != nil {
-		t.Fatal(err)
+	b2.SetState(&s)
+	if reenc := b2.AppendState(nil); !bytes.Equal(enc, reenc) {
+		t.Fatalf("round trip changed state: %x != %x", enc, reenc)
 	}
 	for k := 0; k < 200; k++ {
 		want := s.Uint64()
@@ -86,18 +84,6 @@ func TestBufferedTextRoundTrip(t *testing.T) {
 		if got := b2.Uint64(); got != want {
 			t.Fatalf("draw %d: restored buffered %d != source %d", k, got, want)
 		}
-	}
-	// Re-encoding after restoring yields the identical state text.
-	b3 := NewBuffered(0)
-	if err := b3.UnmarshalText(enc); err != nil {
-		t.Fatal(err)
-	}
-	reenc, err := b3.MarshalText()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, reenc) {
-		t.Fatalf("text round trip changed state: %s != %s", enc, reenc)
 	}
 }
 

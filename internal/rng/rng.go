@@ -10,6 +10,7 @@ package rng
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 )
 
@@ -161,58 +162,7 @@ func (r *Source) jump() {
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
-// MarshalText encodes the generator state as 64 lowercase hex digits —
-// the textual state codec used by checkpoint files, chosen over raw bytes
-// so the stream position is greppable and diffable in serialized
-// checkpoints. The encoding is the hex form of MarshalBinary's output.
-func (r *Source) MarshalText() ([]byte, error) {
-	raw, _ := r.MarshalBinary()
-	const digits = "0123456789abcdef"
-	out := make([]byte, 64)
-	for i, b := range raw {
-		out[2*i] = digits[b>>4]
-		out[2*i+1] = digits[b&0xf]
-	}
-	return out, nil
-}
-
-// UnmarshalText restores a state written by MarshalText.
-func (r *Source) UnmarshalText(data []byte) error {
-	if len(data) != 64 {
-		return errInvalidState
-	}
-	raw := make([]byte, 32)
-	for i := range raw {
-		hi, ok1 := hexVal(data[2*i])
-		lo, ok2 := hexVal(data[2*i+1])
-		if !ok1 || !ok2 {
-			return errInvalidState
-		}
-		raw[i] = hi<<4 | lo
-	}
-	return r.UnmarshalBinary(raw)
-}
-
-// hexVal decodes one lowercase or uppercase hex digit.
-func hexVal(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
-// MarshalBinary encodes the generator state (32 bytes, big endian).
-func (r *Source) MarshalBinary() ([]byte, error) {
-	return r.AppendBinary(nil), nil
-}
-
-// AppendBinary appends the 32-byte binary state to dst — the
-// allocation-free form of MarshalBinary for writers that reuse a buffer.
+// AppendBinary appends the generator state to dst: 32 bytes, big endian.
 func (r *Source) AppendBinary(dst []byte) []byte {
 	for _, s := range r.s {
 		for b := 0; b < 8; b++ {
@@ -222,17 +172,23 @@ func (r *Source) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// UnmarshalBinary restores a state written by MarshalBinary.
+// UnmarshalBinary restores a state written by AppendBinary. It rejects
+// the all-zero state, which xoshiro256** never reaches and never leaves: a
+// generator in it draws only zeros, on which Intn's rejection loop never
+// ends for any bound but a power of two.
 func (r *Source) UnmarshalBinary(data []byte) error {
 	if len(data) != 32 {
-		return errInvalidState
+		return fmt.Errorf("%w: %d bytes, want 32", errInvalidState, len(data))
 	}
-	for i := range r.s {
-		var v uint64
+	var s [4]uint64
+	for i := range s {
 		for b := 0; b < 8; b++ {
-			v = v<<8 | uint64(data[i*8+b])
+			s[i] = s[i]<<8 | uint64(data[i*8+b])
 		}
-		r.s[i] = v
 	}
+	if s == [4]uint64{} {
+		return fmt.Errorf("%w: all-zero state", errInvalidState)
+	}
+	r.s = s
 	return nil
 }

@@ -2,23 +2,23 @@ package snapbin
 
 import (
 	"fmt"
-	"math"
 
+	"sops/internal/core"
 	"sops/internal/lattice"
-	"sops/internal/psys"
 )
 
 // maxRngLen bounds the serialized RNG state to the header's u16 field.
 const maxRngLen = 1<<16 - 1
 
-// Checkpoint is the flat view of a chain checkpoint the binary frame
-// carries: bias parameters, counters, the serialized RNG state, the
-// configuration, and an optional particle selection order (consumed by the
-// resume path to rebuild the chain's iteration state deterministically).
+const cpDisableSwaps = 1
+
+// EncodeCheckpoint encodes cp as a bare KindCheckpoint frame into the
+// encoder's reusable buffer. The returned slice is valid until the next
+// Encode call.
 //
 // Body layout after the 40-byte header (whose Step/Win/N/RngLen/NumColors
-// fields hold Steps, the configuration window, N, len(Rng), and the color
-// count):
+// fields hold Stats.Steps, the configuration window, N, len(Rng), and the
+// color count):
 //
 //	f64 lambda | f64 gamma | u8 flags (bit0 disableSwaps) | u64 seed
 //	u64 moves | u64 swaps | u64 rejected
@@ -27,41 +27,12 @@ const maxRngLen = 1<<16 - 1
 //	u8 hasOrder | n × (varint ΔQ, varint ΔR) when hasOrder = 1
 //	[model trailer: string name | count × f64 couplings] — non-separation only
 //
+// The order is the slot list as points, each as deltas from the one before.
 // The model trailer is appended only for non-separation dynamics, so
 // separation frames are byte-identical to pre-model releases and decoders
 // of those releases reject only frames they could not run anyway. A frame
 // without the trailer decodes with Model = "" — the separation model.
-type Checkpoint struct {
-	Lambda       float64
-	Gamma        float64
-	DisableSwaps bool
-	Seed         uint64
-
-	Steps    uint64
-	Moves    uint64
-	Swaps    uint64
-	Rejected uint64
-
-	Rng    []byte
-	Config *psys.Config
-	Order  []lattice.Point
-	// Slots, when non-nil, is the order the encoder writes instead of
-	// Order, as indices into Config.Window() — a chain's own slot list,
-	// encoded without building the points. Decoding fills Order only.
-	Slots []int32
-
-	// Model tags the dynamics for non-separation checkpoints ("" means
-	// separation); Couplings is its full coupling vector in model order.
-	Model     string
-	Couplings []float64
-}
-
-const cpDisableSwaps = 1
-
-// EncodeCheckpoint encodes cp as a bare KindCheckpoint frame into the
-// encoder's reusable buffer. The returned slice is valid until the next
-// Encode call.
-func (e *Encoder) EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
+func (e *Encoder) EncodeCheckpoint(cp *core.Checkpoint) ([]byte, error) {
 	cfg := cp.Config
 	if cfg == nil {
 		return nil, fmt.Errorf("snapbin: checkpoint without a configuration")
@@ -73,38 +44,29 @@ func (e *Encoder) EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	h := Header{
 		Kind:        KindCheckpoint,
 		BitsPerCell: bitsFor(uint8(numColors)),
-		Step:        cp.Steps,
+		Step:        cp.Stats.Steps,
 		Win:         cfg.Window(),
 		N:           cfg.N(),
 		RngLen:      len(cp.Rng),
 		NumColors:   uint8(numColors),
 	}
 	buf := AppendHeader(e.buf[:0], h)
-	buf = AppendF64(buf, cp.Lambda)
-	buf = AppendF64(buf, cp.Gamma)
+	buf = AppendF64(buf, cp.Params.Lambda)
+	buf = AppendF64(buf, cp.Params.Gamma)
 	flags := byte(0)
-	if cp.DisableSwaps {
+	if cp.Params.DisableSwaps {
 		flags |= cpDisableSwaps
 	}
 	buf = append(buf, flags)
-	buf = appendU64(buf, cp.Seed)
-	buf = appendU64(buf, cp.Moves)
-	buf = appendU64(buf, cp.Swaps)
-	buf = appendU64(buf, cp.Rejected)
+	buf = appendU64(buf, cp.Params.Seed)
+	buf = appendU64(buf, cp.Stats.Moves)
+	buf = appendU64(buf, cp.Stats.Swaps)
+	buf = appendU64(buf, cp.Stats.Rejected)
 	buf = append(buf, cp.Rng...)
 	buf = e.appendConfig(buf, cfg)
-	switch {
-	case cp.Slots != nil:
+	if cp.Slots != nil {
 		buf = appendSlotOrder(append(buf, 1), cfg.Window(), cp.Slots)
-	case cp.Order != nil:
-		buf = append(buf, 1)
-		prev := lattice.Point{}
-		for _, p := range cp.Order {
-			buf = AppendVarint(buf, int64(p.Q-prev.Q))
-			buf = AppendVarint(buf, int64(p.R-prev.R))
-			prev = p
-		}
-	default:
+	} else {
 		buf = append(buf, 0)
 	}
 	if cp.Model != "" && cp.Model != "separation" {
@@ -119,17 +81,19 @@ func (e *Encoder) EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 }
 
 // appendSlotOrder appends the order entries for slots, indices into win:
-// each point's Q and R as varint deltas from the previous point's, the
-// bytes the Order loop writes for the same points. A chain's slot list
-// starts in canonical column order and only accepted moves rewrite its
-// entries, so most slots name the cell one row above the slot before
-// them. That entry, deltas (0, 1), is the two bytes 0x00 0x02 and needs
-// no conversion; the others convert through Window.PointAt.
+// each point's Q and R as varint deltas from the previous point's. A
+// chain's slot list starts in canonical column order and only accepted
+// moves rewrite its entries, so most slots name the cell one row above the
+// slot before them. That entry, deltas (0, 1), is the two bytes 0x00 0x02
+// and needs no conversion; the others convert through Window.PointAt. The
+// shortcut holds only between cells of the window: a decoded order's
+// point outside it is the slot -1 (core.OrderSlot), and the slot after a
+// -1 converts too.
 func appendSlotOrder(buf []byte, win lattice.Window, slots []int32) []byte {
 	up := int32(win.W)
-	prev, last := lattice.Point{}, int32(math.MinInt32) // last+up matches no slot
+	prev, last := lattice.Point{}, int32(-1)
 	for _, s := range slots {
-		if s == last+up {
+		if s == last+up && last >= 0 {
 			buf = append(buf, 0, 2)
 			prev.R++
 		} else {
@@ -143,11 +107,13 @@ func appendSlotOrder(buf []byte, win lattice.Window, slots []int32) []byte {
 	return buf
 }
 
-// DecodeCheckpoint decodes a bare KindCheckpoint frame. Every structural
-// property is validated; errors wrap ErrMalformed. The returned checkpoint
-// owns its memory — Rng and the configuration are fresh copies, so the
-// caller may reuse the input buffer.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+// DecodeCheckpoint decodes a bare KindCheckpoint frame, turning the order
+// points into slots over the decoded configuration's window (core.OrderSlot).
+// Every structural property is validated; errors wrap ErrMalformed. Whether
+// the state can be resumed is core.Resume's to check. The returned
+// checkpoint owns its memory — Rng and the configuration are fresh copies,
+// so the caller may reuse the input buffer.
+func DecodeCheckpoint(data []byte) (*core.Checkpoint, error) {
 	h, err := ParseHeader(data)
 	if err != nil {
 		return nil, err
@@ -156,11 +122,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: frame kind %d is not a checkpoint", ErrMalformed, h.Kind)
 	}
 	r := NewReader(data[HeaderSize:])
-	cp := &Checkpoint{Steps: h.Step}
-	if cp.Lambda, err = r.F64(); err != nil {
+	cp := &core.Checkpoint{Stats: core.Stats{Steps: h.Step}}
+	if cp.Params.Lambda, err = r.F64(); err != nil {
 		return nil, err
 	}
-	if cp.Gamma, err = r.F64(); err != nil {
+	if cp.Params.Gamma, err = r.F64(); err != nil {
 		return nil, err
 	}
 	flags, err := r.U8()
@@ -170,17 +136,17 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if flags&^byte(cpDisableSwaps) != 0 {
 		return nil, fmt.Errorf("%w: unknown checkpoint flags %#x", ErrMalformed, flags)
 	}
-	cp.DisableSwaps = flags&cpDisableSwaps != 0
-	if cp.Seed, err = r.U64(); err != nil {
+	cp.Params.DisableSwaps = flags&cpDisableSwaps != 0
+	if cp.Params.Seed, err = r.U64(); err != nil {
 		return nil, err
 	}
-	if cp.Moves, err = r.U64(); err != nil {
+	if cp.Stats.Moves, err = r.U64(); err != nil {
 		return nil, err
 	}
-	if cp.Swaps, err = r.U64(); err != nil {
+	if cp.Stats.Swaps, err = r.U64(); err != nil {
 		return nil, err
 	}
-	if cp.Rejected, err = r.U64(); err != nil {
+	if cp.Stats.Rejected, err = r.U64(); err != nil {
 		return nil, err
 	}
 	rngView, err := r.Bytes(h.RngLen)
@@ -198,9 +164,10 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	switch hasOrder {
 	case 0:
 	case 1:
-		cp.Order = make([]lattice.Point, h.N)
+		win := cp.Config.Window()
+		cp.Slots = make([]int32, h.N)
 		prev := lattice.Point{}
-		for i := range cp.Order {
+		for i := range cp.Slots {
 			dq, err := r.Varint()
 			if err != nil {
 				return nil, err
@@ -210,7 +177,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 				return nil, err
 			}
 			prev = lattice.Point{Q: prev.Q + int(dq), R: prev.R + int(dr)}
-			cp.Order[i] = prev
+			cp.Slots[i] = core.OrderSlot(win, prev)
 		}
 	default:
 		return nil, fmt.Errorf("%w: order marker %d", ErrMalformed, hasOrder)

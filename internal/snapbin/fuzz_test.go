@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sops/internal/core"
 	"sops/internal/lattice"
 	"sops/internal/metrics"
 	"sops/internal/psys"
@@ -25,7 +26,10 @@ func FuzzSnapbinDecode(f *testing.F) {
 		}
 	}
 	var enc Encoder
-	cp := &Checkpoint{Lambda: 4, Gamma: 0.5, Seed: 3, Steps: 1000, Rng: make([]byte, 32), Config: cfg, Order: cfg.Points()}
+	cp := &core.Checkpoint{
+		Params: core.Params{Lambda: 4, Gamma: 0.5, Seed: 3}, Stats: core.Stats{Steps: 1000},
+		Rng: make([]byte, 32), Config: cfg, Slots: cfg.AppendIndices(nil),
+	}
 	if frame, err := enc.EncodeCheckpoint(cp); err == nil {
 		f.Add(append([]byte(nil), frame...))
 	}
@@ -37,7 +41,10 @@ func FuzzSnapbinDecode(f *testing.F) {
 		diag[i] = psys.Particle{Pos: lattice.Point{Q: i, R: -i}, Color: psys.Color(i % 2)}
 	}
 	if cfg, err := psys.NewFrom(diag); err == nil {
-		cp := &Checkpoint{Lambda: 4, Gamma: 4, Seed: 5, Rng: make([]byte, 32), Config: cfg, Order: cfg.Points()}
+		cp := &core.Checkpoint{
+			Params: core.Params{Lambda: 4, Gamma: 4, Seed: 5},
+			Rng:    make([]byte, 32), Config: cfg, Slots: cfg.AppendIndices(nil),
+		}
 		if frame, err := enc.EncodeCheckpoint(cp); err == nil {
 			f.Add(append([]byte(nil), frame...))
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sops/internal/core"
 	"sops/internal/lattice"
 	"sops/internal/metrics"
 	"sops/internal/psys"
@@ -160,20 +161,15 @@ func TestXorRLERoundTrip(t *testing.T) {
 	}
 }
 
-func checkpointFor(cfg *psys.Config, withOrder bool) *Checkpoint {
-	cp := &Checkpoint{
-		Lambda:   4,
-		Gamma:    0.4,
-		Seed:     99,
-		Steps:    1 << 40,
-		Moves:    12345,
-		Swaps:    678,
-		Rejected: 90123,
-		Rng:      bytes.Repeat([]byte{0xAB, 0x12}, 16),
-		Config:   cfg,
+func checkpointFor(cfg *psys.Config, withOrder bool) *core.Checkpoint {
+	cp := &core.Checkpoint{
+		Params: core.Params{Lambda: 4, Gamma: 0.4, Seed: 99},
+		Stats:  core.Stats{Steps: 1 << 40, Moves: 12345, Swaps: 678, Rejected: 90123},
+		Rng:    bytes.Repeat([]byte{0xAB, 0x12}, 16),
+		Config: cfg,
 	}
 	if withOrder {
-		cp.Order = cfg.Points()
+		cp.Slots = cfg.AppendIndices([]int32{})
 	}
 	return cp
 }
@@ -201,9 +197,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: decode: %v", name, err)
 			}
-			if got.Lambda != cp.Lambda || got.Gamma != cp.Gamma || got.Seed != cp.Seed ||
-				got.Steps != cp.Steps || got.Moves != cp.Moves || got.Swaps != cp.Swaps ||
-				got.Rejected != cp.Rejected || got.DisableSwaps != cp.DisableSwaps {
+			if got.Params != cp.Params || got.Stats != cp.Stats {
 				t.Fatalf("%s: scalar fields: want %+v, got %+v", name, cp, got)
 			}
 			if !bytes.Equal(got.Rng, cp.Rng) {
@@ -211,15 +205,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 			sameConfig(t, cfg, got.Config)
 			if withOrder {
-				if len(got.Order) != len(cp.Order) {
-					t.Fatalf("%s: order length: want %d, got %d", name, len(cp.Order), len(got.Order))
+				if len(got.Slots) != len(cp.Slots) {
+					t.Fatalf("%s: order length: want %d, got %d", name, len(cp.Slots), len(got.Slots))
 				}
-				for i := range cp.Order {
-					if got.Order[i] != cp.Order[i] {
-						t.Fatalf("%s: order[%d]: want %v, got %v", name, i, cp.Order[i], got.Order[i])
+				for i, s := range cp.Slots {
+					if p, q := cfg.Window().PointAt(int(s)), got.Config.Window().PointAt(int(got.Slots[i])); p != q {
+						t.Fatalf("%s: order[%d]: want %v, got %v", name, i, p, q)
 					}
 				}
-			} else if got.Order != nil {
+			} else if got.Slots != nil {
 				t.Fatalf("%s: unexpected order", name)
 			}
 
@@ -239,11 +233,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointSlotsEncodeLikeOrder: an order given as window indices
-// (a chain's slot list) encodes to the same frame as the same order given
-// as points — in canonical column order, where most slots sit one row
-// above the slot before them, with a tenth of the entries swapped, and
-// shuffled.
+// TestCheckpointSlotsEncodeLikeOrder: a chain's slot list encodes to the
+// same frame as the reference encoding of the same order as points, each
+// point's Q and R a varint delta from the point before — in canonical
+// column order, where most slots sit one row above the slot before them,
+// with a tenth of the entries swapped, and shuffled.
 func TestCheckpointSlotsEncodeLikeOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	var rhombus []psys.Particle
@@ -273,34 +267,71 @@ func TestCheckpointSlotsEncodeLikeOrder(t *testing.T) {
 			case "shuffled":
 				r.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
 			}
-			order := make([]lattice.Point, len(slots))
-			for i, s := range slots {
-				order[i] = cfg.Window().PointAt(int(s))
-			}
 			var a, b Encoder
-			byPoints := checkpointFor(cfg, false)
-			byPoints.Order = order
+			bare, err := a.EncodeCheckpoint(checkpointFor(cfg, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The frame without an order ends in its hasOrder byte 0.
+			want := append(bare[:len(bare)-1:len(bare)-1], 1)
+			prev := lattice.Point{}
+			for _, s := range slots {
+				p := cfg.Window().PointAt(int(s))
+				want = AppendVarint(want, int64(p.Q-prev.Q))
+				want = AppendVarint(want, int64(p.R-prev.R))
+				prev = p
+			}
 			bySlots := checkpointFor(cfg, false)
 			bySlots.Slots = slots
-			fa, err := a.EncodeCheckpoint(byPoints)
+			got, err := b.EncodeCheckpoint(bySlots)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb, err := b.EncodeCheckpoint(bySlots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fa, fb) {
+			if !bytes.Equal(got, want) {
 				t.Fatalf("%s, %s order: the slots encode differently from the same order as points", name, mix)
 			}
 		}
 	}
 }
 
+// TestCheckpointOrderOutsideWindow: an order point outside the window
+// decodes to the slot -1, which core.Resume rejects, and re-encodes to the
+// same frame. The slot after it, W − 1, lies one row above -1 in index
+// arithmetic but keeps its own point, the window's first row.
+func TestCheckpointOrderOutsideWindow(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	cfg := randomConfig(t, r, 60, 2, 20, lattice.Point{Q: -30, R: 12})
+	win := cfg.Window()
+	cp := checkpointFor(cfg, true)
+	cp.Slots[1], cp.Slots[2] = -1, int32(win.W-1)
+	var a, b Encoder
+	frame, err := a.EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCheckpoint(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Slots[1] != -1 {
+		t.Fatalf("order point outside the window decodes to slot %d", got.Slots[1])
+	}
+	if p, q := win.PointAt(win.W-1), got.Config.Window().PointAt(int(got.Slots[2])); got.Slots[2] < 0 || p != q {
+		t.Fatalf("slot W-1 after -1 decodes to slot %d (%v), want %v", got.Slots[2], q, p)
+	}
+	again, err := b.EncodeCheckpoint(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame[HeaderSize:], again[HeaderSize:]) {
+		t.Fatal("re-encoding the decoded order changed it")
+	}
+}
+
 func TestCheckpointDisableSwaps(t *testing.T) {
 	cfg := mustPlace(t, []lattice.Point{{Q: 0}}, []psys.Color{0})
 	cp := checkpointFor(cfg, false)
-	cp.DisableSwaps = true
+	cp.Params.DisableSwaps = true
 	var enc Encoder
 	frame, err := enc.EncodeCheckpoint(cp)
 	if err != nil {
@@ -310,7 +341,7 @@ func TestCheckpointDisableSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.DisableSwaps {
+	if !got.Params.DisableSwaps {
 		t.Fatal("DisableSwaps not round-tripped")
 	}
 }

@@ -335,12 +335,12 @@ type System struct {
 	ckptPath  string
 	ckptEvery uint64
 
-	// enc, sealed and cpView are the reusable scratch of the binary
+	// enc, sealed and ckpt are the reusable scratch of the binary
 	// checkpoint writer; after the first write, checkpointing allocates
 	// nothing.
 	enc    snapbin.Encoder
 	sealed []byte
-	cpView snapbin.Checkpoint
+	ckpt   core.Checkpoint
 }
 
 // New builds a System from options.
@@ -370,11 +370,17 @@ func NewFromConfig(cfg *psys.Config, opts Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sops: %w", err)
 	}
-	th := metrics.DefaultThresholds()
-	if opts.Thresholds != nil {
-		th = *opts.Thresholds
+	return newSystem(chain, opts.Thresholds), nil
+}
+
+// newSystem wraps chain in a System classifying phases by th (nil for the
+// defaults).
+func newSystem(chain *core.Chain, th *Thresholds) *System {
+	t := metrics.DefaultThresholds()
+	if th != nil {
+		t = *th
 	}
-	return &System{chain: chain, th: th, meter: metrics.NewMeter(th)}, nil
+	return &System{chain: chain, th: t, meter: metrics.NewMeter(t)}
 }
 
 // Step performs one iteration of the chain.
@@ -758,12 +764,13 @@ func (s *System) SetAutoCheckpoint(path string, every uint64) {
 //	WriteCheckpointTo / RestoreFrom  — io.Writer / io.Reader
 //	WriteCheckpoint   / RestoreFile  — filesystem path (atomic write)
 //
-// The writer pairs emit the snapbin binary wire format inside the seal
-// integrity envelope; Checkpoint keeps producing the documented JSON
-// interchange document. Every reader sniffs — envelope magic, then frame
-// magic — so state written through any writer (either format, any
-// release) restores through any reader: a job server can stream a
-// checkpoint over HTTP, persist it to disk, and resume from either copy.
+// Both formats encode one state, core.Checkpoint. The writer pairs emit
+// the snapbin binary wire format inside the seal integrity envelope;
+// Checkpoint keeps producing the documented JSON interchange document.
+// Every reader sniffs — envelope magic, then frame magic — so state
+// written through any writer (either format, any release) restores
+// through any reader: a job server can stream a checkpoint over HTTP,
+// persist it to disk, and resume from either copy.
 // `sops -convert` translates between the two formats losslessly. See
 // Example (Checkpoint).
 
@@ -771,82 +778,13 @@ func (s *System) SetAutoCheckpoint(path string, every uint64) {
 // frame into the System's reusable scratch: no allocation at steady
 // state. The returned slice is valid until the next encode.
 func (s *System) encodeBinaryCheckpoint() ([]byte, error) {
-	p := s.chain.Params()
-	st := s.chain.Stats()
-	s.cpView.Lambda, s.cpView.Gamma = p.Lambda, p.Gamma
-	s.cpView.DisableSwaps, s.cpView.Seed = p.DisableSwaps, p.Seed
-	s.cpView.Steps, s.cpView.Moves = st.Steps, st.Moves
-	s.cpView.Swaps, s.cpView.Rejected = st.Swaps, st.Rejected
-	s.cpView.Rng = s.chain.AppendRngState(s.cpView.Rng[:0])
-	s.cpView.Config = s.chain.Config()
-	s.cpView.Slots = s.chain.Slots()
-	s.cpView.Model, s.cpView.Couplings = "", nil
-	if name := s.chain.ModelName(); name != "separation" {
-		// The model trailer travels only for non-separation chains, so
-		// separation frames stay byte-identical to pre-registry releases.
-		s.cpView.Model = name
-		s.cpView.Couplings = s.chain.Couplings()
-	}
-	frame, err := s.enc.EncodeCheckpoint(&s.cpView)
+	s.chain.Checkpoint(&s.ckpt)
+	frame, err := s.enc.EncodeCheckpoint(&s.ckpt)
 	if err != nil {
 		return nil, fmt.Errorf("sops: encode checkpoint: %w", err)
 	}
 	s.sealed = seal.AppendEncode(s.sealed[:0], frame)
 	return s.sealed, nil
-}
-
-// restoreBinary rebuilds a System from a bare snapbin checkpoint frame.
-func restoreBinary(data []byte, th *Thresholds) (*System, error) {
-	bcp, err := snapbin.DecodeCheckpoint(data)
-	if err != nil {
-		return nil, fmt.Errorf("sops: decode checkpoint: %w", err)
-	}
-	if len(bcp.Rng) != 32 {
-		return nil, fmt.Errorf("sops: decode checkpoint: rng state is %d bytes, want 32", len(bcp.Rng))
-	}
-	order := make([][2]int, len(bcp.Order))
-	for i, p := range bcp.Order {
-		order[i] = [2]int{p.Q, p.R}
-	}
-	cp := core.Checkpoint{
-		Params: core.Params{
-			Lambda:       bcp.Lambda,
-			Gamma:        bcp.Gamma,
-			DisableSwaps: bcp.DisableSwaps,
-			Seed:         bcp.Seed,
-		},
-		Stats: core.Stats{
-			Steps:    bcp.Steps,
-			Moves:    bcp.Moves,
-			Swaps:    bcp.Swaps,
-			Rejected: bcp.Rejected,
-		},
-		Rng:       hexEncode(bcp.Rng),
-		Config:    bcp.Config,
-		Order:     order,
-		Model:     bcp.Model,
-		Couplings: bcp.Couplings,
-	}
-	chain, err := core.Resume(&cp)
-	if err != nil {
-		return nil, fmt.Errorf("sops: %w", err)
-	}
-	thresholds := metrics.DefaultThresholds()
-	if th != nil {
-		thresholds = *th
-	}
-	return &System{chain: chain, th: thresholds, meter: metrics.NewMeter(thresholds)}, nil
-}
-
-// hexEncode renders b as lowercase hex — the textual rng codec of the
-// JSON checkpoint document.
-func hexEncode(b []byte) string {
-	const digits = "0123456789abcdef"
-	out := make([]byte, 2*len(b))
-	for i, v := range b {
-		out[2*i], out[2*i+1] = digits[v>>4], digits[v&0xf]
-	}
-	return string(out)
 }
 
 // WriteCheckpoint atomically writes the System's checkpoint (see
@@ -915,10 +853,8 @@ func RestoreFile(path string, th *Thresholds) (*System, error) {
 // parameters, statistics, random-generator state) to JSON. A System
 // restored with Restore continues the exact same trajectory.
 func (s *System) Checkpoint() ([]byte, error) {
-	cp, err := s.chain.Checkpoint()
-	if err != nil {
-		return nil, fmt.Errorf("sops: %w", err)
-	}
+	var cp core.Checkpoint
+	s.chain.Checkpoint(&cp)
 	return cp.MarshalJSON()
 }
 
@@ -937,20 +873,20 @@ func Restore(data []byte, th *Thresholds) (*System, error) {
 		}
 		data = payload
 	}
+	var cp *core.Checkpoint
+	var err error
 	if snapbin.IsFrame(data) {
-		return restoreBinary(data, th)
+		cp, err = snapbin.DecodeCheckpoint(data)
+	} else {
+		cp = new(core.Checkpoint)
+		err = cp.UnmarshalJSON(data)
 	}
-	var cp core.Checkpoint
-	if err := cp.UnmarshalJSON(data); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("sops: decode checkpoint: %w", err)
 	}
-	chain, err := core.Resume(&cp)
+	chain, err := core.Resume(cp)
 	if err != nil {
 		return nil, fmt.Errorf("sops: %w", err)
 	}
-	thresholds := metrics.DefaultThresholds()
-	if th != nil {
-		thresholds = *th
-	}
-	return &System{chain: chain, th: thresholds, meter: metrics.NewMeter(thresholds)}, nil
+	return newSystem(chain, th), nil
 }

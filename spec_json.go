@@ -96,7 +96,7 @@ type sweepSpecJSON struct {
 }
 
 // MarshalJSON encodes the spec's wire form. Runtime-only fields (Observe,
-// Progress, Tracker, the Checkpoint* configuration) are omitted — they
+// Tracker, the Checkpoint* configuration) are omitted — they
 // belong to whoever executes the spec, not to the spec itself.
 func (spec SweepSpec) MarshalJSON() ([]byte, error) {
 	return json.Marshal(sweepSpecJSON{

@@ -114,7 +114,6 @@ func TestSweepSpecJSONRuntimeFieldsExcluded(t *testing.T) {
 		Counts:          []int{10},
 		Steps:           100,
 		Observe:         func(done, total int) {},
-		Progress:        func(SweepProgress) {},
 		CheckpointPath:  "/tmp/should-not-travel",
 		CheckpointEvery: 5,
 	}
@@ -129,7 +128,7 @@ func TestSweepSpecJSONRuntimeFieldsExcluded(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Observe != nil || got.Progress != nil || got.CheckpointPath != "" || got.CheckpointEvery != 0 {
+	if got.Observe != nil || got.CheckpointPath != "" || got.CheckpointEvery != 0 {
 		t.Fatalf("runtime fields not zero after decode: %+v", got)
 	}
 }

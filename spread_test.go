@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sops/internal/core"
 	"sops/internal/lattice"
 	"sops/internal/psys"
 	"sops/internal/snapbin"
@@ -144,8 +145,8 @@ func spreadFrame() ([]byte, error) {
 		return nil, err
 	}
 	var enc snapbin.Encoder
-	one, err := enc.EncodeCheckpoint(&snapbin.Checkpoint{
-		Lambda: 4, Gamma: 4, Seed: 1, Rng: make([]byte, 32), Config: single,
+	one, err := enc.EncodeCheckpoint(&core.Checkpoint{
+		Params: core.Params{Lambda: 4, Gamma: 4, Seed: 1}, Rng: make([]byte, 32), Config: single,
 	})
 	if err != nil {
 		return nil, err

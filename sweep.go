@@ -116,10 +116,6 @@ type SweepSpec struct {
 	// other goroutines, e.g. a telemetry debug server. On a resumed sweep
 	// the cells already completed count as done from the start.
 	Tracker *SweepTracker
-	// Progress, if non-nil, is called with a fresh aggregate snapshot
-	// after each cell completes. Calls are serialized. It needs no
-	// Tracker of its own: the sweep supplies one if Tracker is nil.
-	Progress func(SweepProgress)
 }
 
 // Validate checks the parts of the spec that are uniform across the grid:
@@ -345,24 +341,13 @@ func runSweep(ctx context.Context, spec SweepSpec, resume bool) ([]CellResult, e
 		return out, nil
 	}
 
-	track := spec.Tracker
-	if track == nil && spec.Progress != nil {
-		track = new(SweepTracker)
-	}
-	if track != nil {
-		track.Begin(len(cells), len(cells)-len(pending))
+	if spec.Tracker != nil {
+		spec.Tracker.Begin(len(cells), len(cells)-len(pending))
 	}
 	var observe func(runner.Progress)
-	if spec.Observe != nil || spec.Progress != nil {
+	if spec.Observe != nil {
 		base := len(cells) - len(pending)
-		observe = func(p runner.Progress) {
-			if spec.Observe != nil {
-				spec.Observe(base+p.Done, len(cells))
-			}
-			if spec.Progress != nil {
-				spec.Progress(track.Progress())
-			}
-		}
+		observe = func(p runner.Progress) { spec.Observe(base+p.Done, len(cells)) }
 	}
 	results, err := runner.Sweep(ctx, pending, runner.Options{
 		Workers: spec.Workers,
@@ -370,7 +355,7 @@ func runSweep(ctx context.Context, spec SweepSpec, resume bool) ([]CellResult, e
 		Observe: observe,
 		Retries: spec.Retries,
 		Backoff: spec.Backoff,
-		Track:   track,
+		Track:   spec.Tracker,
 	}, func(ctx context.Context, c sweepCell, _ uint64) (Snapshot, error) {
 		return runSweepCell(ctx, &spec, c, th, ck)
 	})

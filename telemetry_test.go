@@ -255,12 +255,11 @@ func TestSweepSpecValidate(t *testing.T) {
 	}
 }
 
-// TestSweepProgress drives a small sweep with both a caller-held Tracker
-// and the Progress callback, and checks the aggregate view converges to
-// done == total with the failure counted.
+// TestSweepProgress drives a small sweep with a caller-held Tracker, read
+// from inside Observe after each cell completes, and checks the aggregate
+// view converges to done == total with the failure counted.
 func TestSweepProgress(t *testing.T) {
 	tracker := new(SweepTracker)
-	var mu sync.Mutex
 	var last SweepProgress
 	calls := 0
 	_, err := Sweep(context.Background(), SweepSpec{
@@ -270,11 +269,9 @@ func TestSweepProgress(t *testing.T) {
 		Steps:   500,
 		Workers: 2,
 		Tracker: tracker,
-		Progress: func(p SweepProgress) {
-			mu.Lock()
-			defer mu.Unlock()
+		Observe: func(done, total int) { // calls are serialized
 			calls++
-			last = p
+			last = tracker.Progress()
 		},
 	})
 	var sweepErr *SweepError
@@ -282,7 +279,7 @@ func TestSweepProgress(t *testing.T) {
 		t.Fatalf("expected SweepError, got %v", err)
 	}
 	if calls != 2 {
-		t.Fatalf("Progress called %d times, want 2", calls)
+		t.Fatalf("Observe called %d times, want 2", calls)
 	}
 	if last.Done != 2 || last.Total != 2 || last.Running != 0 {
 		t.Fatalf("final progress %+v", last)
