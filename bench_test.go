@@ -14,6 +14,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"testing"
 	"time"
 
@@ -358,11 +359,11 @@ func BenchmarkLemma9Stationarity(b *testing.B) {
 // λγ > 6.83) versus unbiased dynamics.
 func BenchmarkTheorem13Compression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		biased, err := experiments.CompressionFrequency(60, 4, 6, 3, 2_000_000, 10_000, 40, 4)
+		biased, err := experiments.CompressionFrequencyContext(context.Background(), 60, 4, 6, 3, 2_000_000, 10_000, 40, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		unbiased, err := experiments.CompressionFrequency(60, 1, 1, 3, 2_000_000, 10_000, 40, 5)
+		unbiased, err := experiments.CompressionFrequencyContext(context.Background(), 60, 1, 1, 3, 2_000_000, 10_000, 40, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,7 +376,7 @@ func BenchmarkTheorem13Compression(b *testing.B) {
 // π_P ∝ γ^{−h} at large γ.
 func BenchmarkTheorem14Separation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FixedShapeSeparation(3, 6, 4, 0.25, 2_000_000, 10_000, 40, 7)
+		res, err := experiments.FixedShapeSeparationContext(context.Background(), 3, 6, 4, 0.25, 2_000_000, 10_000, 40, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,7 +388,7 @@ func BenchmarkTheorem14Separation(b *testing.B) {
 // (79/81, 81/79) and λ(γ+1) > 6.83.
 func BenchmarkTheorem15CompressionNearOne(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CompressionFrequency(60, 6, 81.0/79.0, 3, 2_000_000, 10_000, 40, 8)
+		res, err := experiments.CompressionFrequencyContext(context.Background(), 60, 6, 81.0/79.0, 3, 2_000_000, 10_000, 40, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,7 +400,7 @@ func BenchmarkTheorem15CompressionNearOne(b *testing.B) {
 // window, under the same fixed-boundary measure as E7.
 func BenchmarkTheorem16Integration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FixedShapeSeparation(3, 81.0/79.0, 4, 0.25, 2_000_000, 10_000, 40, 9)
+		res, err := experiments.FixedShapeSeparationContext(context.Background(), 3, 81.0/79.0, 4, 0.25, 2_000_000, 10_000, 40, 9)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,25 +490,29 @@ func BenchmarkMultiColorSeparation(b *testing.B) {
 	}
 }
 
-// E13 — the concurrent amoebot runtime: activation throughput across
-// workers with invariants intact (checked in tests under -race).
+// E13 — the amoebot runtime's one scheduler: activation throughput at one
+// worker (the sequential execution) and at GOMAXPROCS workers, with
+// invariants intact (checked in tests under -race).
 func BenchmarkConcurrentScheduler(b *testing.B) {
-	cfg, err := core.Initial(core.LayoutSpiral, []int{50, 50}, 3)
-	if err != nil {
-		b.Fatal(err)
+	for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg, err := core.Initial(core.LayoutSpiral, []int{50, 50}, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := amoebot.NewWorld(cfg, core.Params{Lambda: 4, Gamma: 4}, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := amoebot.Run(context.Background(), w, 1_000_000, workers, uint64(i), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(1_000_000*float64(b.N)/b.Elapsed().Seconds(), "activations/s")
+		})
 	}
-	w, err := amoebot.NewWorld(cfg, core.Params{Lambda: 4, Gamma: 4}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := amoebot.RunConcurrent(context.Background(), w, 1_000_000, workers, uint64(i), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1_000_000*float64(b.N)/b.Elapsed().Seconds(), "activations/s")
 }
 
 // E14 — the PODC '16 compression baseline (monochromatic, γ = 1): the
@@ -515,11 +520,11 @@ func BenchmarkConcurrentScheduler(b *testing.B) {
 // 2(2+√2) ≈ 6.83.
 func BenchmarkCompressionBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		strong, err := experiments.MonochromaticCompressionFrequency(60, 8, 3, 2_000_000, 10_000, 40, 6)
+		strong, err := experiments.MonochromaticCompressionFrequencyContext(context.Background(), 60, 8, 3, 2_000_000, 10_000, 40, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
-		weak, err := experiments.MonochromaticCompressionFrequency(60, 1, 3, 2_000_000, 10_000, 40, 7)
+		weak, err := experiments.MonochromaticCompressionFrequencyContext(context.Background(), 60, 1, 3, 2_000_000, 10_000, 40, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

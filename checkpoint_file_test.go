@@ -2,9 +2,14 @@ package sops
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"sops/internal/failfs"
 )
 
 // TestWriteCheckpointRestoreFile: a System restored from a checkpoint file
@@ -90,6 +95,137 @@ func TestAutoCheckpoint(t *testing.T) {
 	sys.RunSteps(25_000)
 	if sys.Metrics() != restored.Metrics() {
 		t.Fatal("resumed run diverged from the uninterrupted one")
+	}
+}
+
+// writeLog is a filesystem that records, for every atomic rename onto
+// path, the step the System sys has reached: one entry per durable
+// checkpoint write.
+type writeLog struct {
+	failfs.FS
+	path  string
+	sys   *System
+	steps []uint64
+}
+
+func (l *writeLog) Rename(oldpath, newpath string) error {
+	if newpath == l.path {
+		l.steps = append(l.steps, l.sys.Steps())
+	}
+	return l.FS.Rename(oldpath, newpath)
+}
+
+// multiples returns from, from+every, …, up to and including to.
+func multiples(from, every, to uint64) []uint64 {
+	var out []uint64
+	for s := from; s <= to; s += every {
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestAutoCheckpointCadence pins Run's write schedule: a serial run writes
+// its auto-checkpoint at every absolute multiple of the interval and once
+// where it stops elsewhere, never at a sample pause and never twice at one
+// step, whatever the sampling cadence. A run stopped by its Observer
+// leaves that step's state, and the restored continuation writes at the
+// same multiples as the uninterrupted run and ends on its state.
+func TestAutoCheckpointCadence(t *testing.T) {
+	const steps, every = 1_000_000, 100_000
+	opts := Options{Counts: []int{10, 10}, Lambda: 4, Gamma: 4, Seed: 3}
+	ctx := context.Background()
+	dir := t.TempDir()
+	log := &writeLog{FS: failfs.Get()}
+	defer failfs.Swap(log)()
+	watch := func(sys *System, name string) string {
+		path := filepath.Join(dir, name)
+		log.path, log.sys, log.steps = path, sys, nil
+		sys.SetAutoCheckpoint(path, every)
+		return path
+	}
+
+	var full *System
+	for _, sample := range []uint64{0, 1_000, 30_000, 100_000} {
+		sys, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := watch(sys, fmt.Sprintf("sample%d.ckpt", sample))
+		samples := uint64(0)
+		if _, err := sys.Run(ctx, RunSpec{Steps: steps, SampleEvery: sample,
+			Observer: func(Snapshot) bool { samples++; return true }}); err != nil {
+			t.Fatal(err)
+		}
+		if want := multiples(every, every, steps); !slices.Equal(log.steps, want) {
+			t.Fatalf("SampleEvery %d: %d writes at steps %v, want %v", sample, len(log.steps), log.steps, want)
+		}
+		wantSamples := uint64(1)
+		if sample > 0 {
+			wantSamples = (steps + sample - 1) / sample
+		}
+		if samples != wantSamples {
+			t.Fatalf("SampleEvery %d: %d samples, want %d", sample, samples, wantSamples)
+		}
+		restored, err := RestoreFile(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Stats() != sys.Stats() || !restored.Config().Equal(sys.Config()) {
+			t.Fatalf("SampleEvery %d: checkpoint holds step %d, not the final state", sample, restored.Steps())
+		}
+		full = sys
+	}
+
+	const stopAt = 123_000
+	sys, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := watch(sys, "stopped.ckpt")
+	n, err := sys.Run(ctx, RunSpec{Steps: steps, SampleEvery: 1_000,
+		Observer: func(s Snapshot) bool { return s.Steps < stopAt }})
+	if err != nil || n != stopAt {
+		t.Fatalf("observer stop: ran %d steps, err %v", n, err)
+	}
+	if want := []uint64{every, stopAt}; !slices.Equal(log.steps, want) {
+		t.Fatalf("observer stop: writes at steps %v, want %v", log.steps, want)
+	}
+	resumed, err := RestoreFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Stats() != sys.Stats() || !resumed.Config().Equal(sys.Config()) {
+		t.Fatalf("observer stop left step %d, want %d", resumed.Steps(), stopAt)
+	}
+	watch(resumed, "stopped.ckpt")
+	if _, err := resumed.Run(ctx, RunSpec{Steps: steps - stopAt}); err != nil {
+		t.Fatal(err)
+	}
+	if want := multiples(2*every, every, steps); !slices.Equal(log.steps, want) {
+		t.Fatalf("continuation: writes at steps %v, want %v", log.steps, want)
+	}
+	if resumed.Stats() != full.Stats() || !resumed.Config().Equal(full.Config()) {
+		t.Fatal("continuation diverged from the uninterrupted run")
+	}
+}
+
+// TestCancelledRunReportsFailedCheckpoint: when the checkpoint a cancelled
+// run writes where it stops fails, Run returns the write's error joined
+// with ctx's, so a caller that sees ctx's error bare knows the state was
+// saved.
+func TestCancelledRunReportsFailedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	errDisk := errors.New("disk gone")
+	defer failfs.Swap(failfs.NewInjector(nil, 1, failfs.Fault{Op: failfs.OpCreate, Path: dir, Err: errDisk}))()
+	sys, err := New(Options{Counts: []int{8, 8}, Lambda: 3, Gamma: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetAutoCheckpoint(filepath.Join(dir, "ck"), 1_000_000)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sys.Run(ctx, RunSpec{Steps: 10_000}); !errors.Is(err, context.Canceled) || !errors.Is(err, errDisk) {
+		t.Fatalf("cancelled run with a failing checkpoint returned %v, want both errors", err)
 	}
 }
 

@@ -277,7 +277,9 @@ func run() error {
 		},
 		Telemetry: &sops.Telemetry{Probe: probe, Recorder: rec},
 	}); err != nil {
-		if !errors.Is(err, context.Canceled) {
+		// A bare ctx error is a clean interrupt (with -checkpoint, one
+		// whose state was saved); a failed checkpoint write comes joined.
+		if err != ctx.Err() {
 			return err
 		}
 		msg := "interrupted"

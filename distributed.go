@@ -27,10 +27,11 @@ type (
 // Distributed is the asynchronous amoebot-model execution of the
 // distributed algorithm A for the model Options select: particles are
 // independent agents; activations may run concurrently and are serialized
-// only where their neighborhoods overlap. Every activation decides through
-// the same rule as the centralized chain's step, so a sequential run
-// (workers ≤ 1) is the chain's trajectory until a proposal reaches the
-// arena edge, and its quiescent snapshots satisfy the same invariants.
+// only where their neighborhoods overlap. One scheduler runs every worker
+// count, and every activation decides through the same rule as the
+// centralized chain's step, so a one-worker run is the chain's trajectory
+// until a proposal reaches the arena edge, and quiescent snapshots
+// satisfy the same invariants at any worker count.
 // Models with a schedule (anneal) are rejected: concurrent activations
 // have no global step order at which to change couplings.
 //
@@ -86,7 +87,7 @@ func NewDistributed(opts Options) (*Distributed, error) {
 }
 
 // RunContext executes up to activations activations across workers
-// concurrent activation sources (workers ≤ 1 runs sequentially), stopping
+// concurrent activation sources (workers ≤ 1 runs one), stopping
 // early when ctx is cancelled. It returns the activations actually
 // performed and the accepted move and swap counts; err is ctx's error if
 // the run was cut short. Each call consumes the next seed of the
@@ -95,15 +96,10 @@ func (d *Distributed) RunContext(ctx context.Context, activations uint64, worker
 	return d.run(ctx, activations, workers, d.sched.Uint64())
 }
 
-// run dispatches to the sequential or concurrent scheduler and accounts
-// for the activations performed.
+// run executes the activations on the amoebot scheduler, with at least
+// one worker, and accounts for the activations performed.
 func (d *Distributed) run(ctx context.Context, activations uint64, workers int, seed uint64) (performed, moves, swaps uint64, err error) {
-	var res amoebot.Result
-	if workers <= 1 {
-		res, err = amoebot.RunSequential(ctx, d.world, activations, seed, d.inj)
-	} else {
-		res, err = amoebot.RunConcurrent(ctx, d.world, activations, workers, seed, d.inj)
-	}
+	res, err := amoebot.Run(ctx, d.world, activations, max(workers, 1), seed, d.inj)
 	d.done += res.Activations
 	if err != nil && err != ctx.Err() {
 		return res.Activations, res.Moves, res.Swaps, fmt.Errorf("sops: %w", err)

@@ -15,11 +15,11 @@ import (
 
 var benchSeed atomic.Uint64
 
-// runSequential runs the sequential scheduler without cancellation or
+// runSequential runs the scheduler at one worker without cancellation or
 // faults, failing the test on an audit error.
 func runSequential(t *testing.T, w *World, activations, seed uint64) Result {
 	t.Helper()
-	res, err := RunSequential(context.Background(), w, activations, seed, nil)
+	res, err := Run(context.Background(), w, activations, 1, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestConcurrentPreservesInvariants(t *testing.T) {
 	if workers < 2 {
 		workers = 2
 	}
-	res, err := RunConcurrent(context.Background(), w, 200000, workers, 11, nil)
+	res, err := Run(context.Background(), w, 200000, workers, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestConcurrentPreservesInvariants(t *testing.T) {
 
 func TestConcurrentWorkerValidation(t *testing.T) {
 	w := newWorld(t, []int{3, 3}, core.Params{Lambda: 2, Gamma: 2})
-	if _, err := RunConcurrent(context.Background(), w, 10, 0, 1, nil); err != ErrNoWorkers {
+	if _, err := Run(context.Background(), w, 10, 0, 1, nil); err != ErrNoWorkers {
 		t.Fatalf("zero workers: %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestRuntimeMatchesCentralizedChain(t *testing.T) {
 	segChain := metrics.SegregationIndex(ch.Config())
 
 	w := newWorld(t, counts, params)
-	if _, err := RunConcurrent(context.Background(), w, 3000000, 4, 10, nil); err != nil {
+	if _, err := Run(context.Background(), w, 3000000, 4, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := w.Snapshot()
@@ -176,10 +176,10 @@ func TestRuntimeMatchesCentralizedChain(t *testing.T) {
 }
 
 // TestSequentialRuntimeIsChain pins that the sequential runtime is chain
-// M: from the same configuration and seed, RunSequential's activation
-// loop and core.NewWithModel agree on every outcome for 10⁶ steps and end
-// on the same configuration, and RunSequential itself reaches the chain's
-// state after its first 10⁵ steps. Particle ids follow the chain's slot
+// M: from the same configuration and seed, a one-worker activation loop
+// and core.NewWithModel agree on every outcome for 10⁶ steps and end on
+// the same configuration, and the scheduler itself, run at one worker,
+// reaches the chain's state after its first 10⁵ steps. Particle ids follow the chain's slot
 // order and each activation draws as Chain.Step does, so the runtime
 // inherits the chain's exact-π tests. The default arena is far wider than
 // the drift of these runs, so no proposal targets a cell outside it.
@@ -234,7 +234,7 @@ func TestSequentialRuntimeIsChain(t *testing.T) {
 			}
 			res := runSequential(t, ws, prefix, params.Seed)
 			if res.Moves != atPrefix.Moves || res.Swaps != atPrefix.Swaps || res.Moves == 0 || !ws.Snapshot().Equal(prefixCfg) {
-				t.Fatalf("RunSequential %+v, chain %+v at step %d", res, atPrefix, prefix)
+				t.Fatalf("one-worker Run %+v, chain %+v at step %d", res, atPrefix, prefix)
 			}
 		})
 	}
@@ -301,7 +301,7 @@ func TestCrashStopParticles(t *testing.T) {
 	if !w.Frozen(0) || w.Frozen(9) {
 		t.Fatal("frozen flags wrong")
 	}
-	res, err := RunConcurrent(context.Background(), w, 500000, 4, 13, nil)
+	res, err := Run(context.Background(), w, 500000, 4, 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestCrashStopParticles(t *testing.T) {
 	for id := 0; id < 5; id++ {
 		w.SetFrozen(id, false)
 	}
-	if _, err := RunConcurrent(context.Background(), w, 100000, 4, 14, nil); err != nil {
+	if _, err := Run(context.Background(), w, 100000, 4, 14, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap = w.Snapshot()

@@ -45,7 +45,7 @@ func TestConcurrentFaultInjection(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		runRes, runErr = RunConcurrent(context.Background(), w, 600_000, 8, 5, inj)
+		runRes, runErr = Run(context.Background(), w, 600_000, 8, 5, inj)
 	}()
 
 	// Sample quiescent snapshots while sources crash and restart under us.
@@ -88,13 +88,13 @@ sampling:
 	}
 }
 
-// TestSequentialFaultReproducible: a sequential faulty run is a pure
+// TestSequentialFaultReproducible: a one-worker faulty run is a pure
 // function of (scheduler seed, fault seed).
 func TestSequentialFaultReproducible(t *testing.T) {
 	run := func() (Result, string) {
 		w := newWorld(t, []int{15, 15}, core.Params{Lambda: 3, Gamma: 3, Seed: 2})
 		inj := faultyInjector(t, 42)
-		res, err := RunSequential(context.Background(), w, 200_000, 9, inj)
+		res, err := Run(context.Background(), w, 200_000, 1, 9, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestCadencedAuditAbortsOnViolation(t *testing.T) {
 	w.SetFrozen(0, true)
 	w.cellAt(w.parts[0].pos).particle = 77
 	w.SetAuditEvery(1000)
-	_, err := RunConcurrent(context.Background(), w, 100_000, 4, 1, nil)
+	_, err := Run(context.Background(), w, 100_000, 4, 1, nil)
 	var ie *psys.InvariantError
 	if !errors.As(err, &ie) {
 		t.Fatalf("audit violation not surfaced: %v", err)
@@ -160,7 +160,7 @@ func TestFaultRunHonorsCancellation(t *testing.T) {
 	w := newWorld(t, []int{10, 10}, core.Params{Lambda: 2, Gamma: 2, Seed: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunConcurrent(ctx, w, 1_000_000, 4, 1, faultyInjector(t, 5)); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, w, 1_000_000, 4, 1, faultyInjector(t, 5)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v", err)
 	}
 }

@@ -16,9 +16,10 @@
 // serializability argument the paper invokes.
 //
 // The arena is a bounded hexagonal region (physical systems are bounded);
-// proposals that would leave the arena are rejected. Away from the arena
-// edge the sequential scheduler is core.Chain step for step: particle ids
-// follow the chain's slot order and activations draw exactly as Step does.
+// proposals that would leave the arena are rejected. One scheduler, Run,
+// drives any number of workers; away from the arena edge a one-worker run
+// is core.Chain step for step: particle ids follow the chain's slot order
+// and activations draw exactly as Step does.
 package amoebot
 
 import (
@@ -65,7 +66,6 @@ type Particle struct {
 
 // World is the shared arena plus the particle registry.
 type World struct {
-	params core.Params
 	rule   *core.Rule
 	coup   []float64 // the bound model's full coupling vector
 	radius int
@@ -139,13 +139,12 @@ func NewWorldWithModel(cfg *psys.Config, params core.Params, m core.Model, coup 
 		return nil, ErrOutOfArena
 	}
 	w := &World{
-		params: params,
 		coup:   coup,
 		radius: radius,
 		side:   2*radius + 1,
 	}
 	k := m.NumExponents()
-	w.rule = core.NewRule(m, coup[:k], &w.params)
+	w.rule = core.NewRule(m, coup[:k], params.DisableSwaps)
 	w.grid = make([]cell, w.side*w.side)
 	dE := make([]int8, len(pts)*k)
 	orient := rng.New(params.Seed ^ 0xa5a5a5a5a5a5a5a5)

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sops/internal/lattice"
 	"sops/internal/psys"
@@ -169,7 +170,7 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 		dE:      make([]int8, m.NumExponents()),
 		nextReb: math.MaxUint64,
 	}
-	c.rule = newRule(m, &c.params)
+	c.rule = newRule(m, params.DisableSwaps)
 	if s, ok := m.(Scheduler); ok {
 		c.sched, c.coupNow = s, append([]float64(nil), coup...)
 	}
@@ -182,9 +183,9 @@ func NewWithModel(cfg *psys.Config, params Params, m Model, coup []float64) (*Ch
 
 // retune recomputes the effective energy couplings for the chain's
 // current absolute step count (scheduled models only) and the acceptance
-// thresholds from them. Called at construction, after a checkpoint restore
-// or a coupling change, and from Step when the scheduler's announced
-// boundary is reached.
+// thresholds from them. Called at construction, after a checkpoint
+// restore, and from Step when the scheduler's announced boundary is
+// reached.
 func (c *Chain) retune() {
 	k := c.rule.model.NumExponents()
 	if c.sched != nil {
@@ -228,7 +229,7 @@ func (c *Chain) setConfig(cfg *psys.Config) error {
 		return fmt.Errorf("%w: %d cells", ErrWindowRange, a)
 	}
 	c.cfg = cfg
-	c.slots = cfg.AppendIndices(c.slots[:0])
+	c.slots = cfg.AppendIndices(slices.Grow(c.slots[:0], cfg.N()))
 	return nil
 }
 

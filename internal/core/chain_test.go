@@ -618,52 +618,6 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-// TestSetParamsAnnealing: parameters can change mid-run (annealing),
-// acceptance probabilities follow, and the chain still reaches separation
-// when γ is ramped from 1 to 4.
-func TestSetParamsAnnealing(t *testing.T) {
-	cfg := mustInitial(t, LayoutSpiral, []int{20, 20}, 8)
-	ch, err := New(cfg, Params{Lambda: 4, Gamma: 1, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gamma := range []float64{1, 1.5, 2, 3, 4} {
-		if err := ch.SetParams(Params{Lambda: 4, Gamma: gamma}); err != nil {
-			t.Fatal(err)
-		}
-		ch.Run(300000)
-	}
-	if ch.Params().Gamma != 4 {
-		t.Fatal("params not updated")
-	}
-	if ch.Config().HetEdges() > 30 {
-		t.Fatalf("annealed run failed to separate: h=%d", ch.Config().HetEdges())
-	}
-	if err := ch.SetParams(Params{Lambda: 0, Gamma: 1}); err == nil {
-		t.Fatal("invalid params accepted by SetParams")
-	}
-}
-
-// TestSetParamsFlipsSwaps: the chain's rule reads the live swap switch,
-// so SetParams turning swaps off stops them from the next step on, and
-// turning them back on resumes them.
-func TestSetParamsFlipsSwaps(t *testing.T) {
-	ch, err := New(mustInitial(t, LayoutSpiral, []int{20, 20}, 4), Params{Lambda: 4, Gamma: 4, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, off := range []bool{false, true, false} {
-		if err := ch.SetParams(Params{Lambda: 4, Gamma: 4, DisableSwaps: off}); err != nil {
-			t.Fatal(err)
-		}
-		before := ch.Stats().Swaps
-		ch.Run(100000)
-		if swapped := ch.Stats().Swaps > before; swapped == off {
-			t.Fatalf("DisableSwaps=%v: swaps %d → %d", off, before, ch.Stats().Swaps)
-		}
-	}
-}
-
 func TestRunContextCompletesLikeRun(t *testing.T) {
 	mk := func() *Chain {
 		ch, err := New(mustInitial(t, LayoutLine, []int{10, 10}, 21), Params{Lambda: 4, Gamma: 4, Seed: 21})

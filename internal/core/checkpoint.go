@@ -195,35 +195,3 @@ func (c *Chain) setOrder(slots []int32) error {
 	copy(c.slots, slots)
 	return nil
 }
-
-// SetParams replaces the chain's bias parameters mid-run, keeping the
-// configuration, statistics and random stream. This makes the chain
-// time-inhomogeneous — useful for annealing schedules that ramp γ up to
-// escape the metastability visible in long simulation runs. The stationary
-// characterization of Lemma 9 applies only while parameters are held fixed.
-func (c *Chain) SetParams(params Params) error {
-	if c.rule.model != Separation {
-		return fmt.Errorf("core: SetParams applies only to the separation model (chain runs %q); use SetCouplings", c.rule.model.Name())
-	}
-	if err := params.Validate(); err != nil {
-		return err
-	}
-	c.params = params
-	c.coup[0], c.coup[1] = params.Lambda, params.Gamma
-	c.retune()
-	return nil
-}
-
-// SetCouplings replaces the chain's full coupling vector mid-run, keeping
-// the configuration, statistics and random stream, and rebuilding the
-// acceptance tables — SetParams generalized to any model. For scheduled
-// models the new nominal couplings take effect through the schedule.
-func (c *Chain) SetCouplings(coup []float64) error {
-	if err := ValidateCouplings(c.rule.model, coup); err != nil {
-		return err
-	}
-	copy(c.coup, coup)
-	c.params.Lambda, c.params.Gamma = lambdaGamma(c.rule.model, c.coup)
-	c.retune()
-	return nil
-}

@@ -142,8 +142,8 @@ func TestModelTablesMatchLegacy(t *testing.T) {
 // fresh build through Model.Valid for every registered model, with
 // alignment bound at k = 2 and k = 3: validityOf hands out one table per
 // bound model, every cell equals Valid, and NewRule, the sharded executor
-// and the chain decide through that table, which a threshold retune
-// leaves in place.
+// and the chain decide through that table, which an anneal chain's
+// threshold retune at a stage boundary leaves in place.
 func TestValidityTableShared(t *testing.T) {
 	var models []Model
 	for _, name := range ModelNames() {
@@ -174,7 +174,7 @@ func TestValidityTableShared(t *testing.T) {
 			}
 		}
 		coup := DefaultCouplings(m)
-		if u := NewRule(m, coup[:m.NumExponents()], &Params{}); u.mt.moveOK != shared {
+		if u := NewRule(m, coup[:m.NumExponents()], false); u.mt.moveOK != shared {
 			t.Fatalf("%s (%v): NewRule does not use the shared table", m.Name(), m)
 		}
 		sh, err := NewShardedWithModel(cfg, Params{Seed: 1}, m, nil, ShardedOptions{Workers: 1, Seed: 1})
@@ -192,14 +192,20 @@ func TestValidityTableShared(t *testing.T) {
 		if ch.rule.mt.moveOK != validityOf(b) {
 			t.Fatalf("%s (%v): chain does not use the shared table", m.Name(), m)
 		}
-		coup = ch.Couplings()
-		coup[0] *= 2
-		if err := ch.SetCouplings(coup); err != nil {
-			t.Fatal(err)
-		}
-		if ch.rule.mt.moveOK != validityOf(b) {
-			t.Fatalf("%s (%v): retune replaced the validity table", m.Name(), m)
-		}
+	}
+	// A scheduled chain retunes its thresholds at each stage boundary; the
+	// retune must keep the shared validity table.
+	ch, err := NewWithModel(cfg, Params{Seed: 1}, Anneal, []float64{4, 16, 3, 1_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]uint64(nil), ch.rule.mt.thresh...)
+	ch.Run(1_500)
+	if slices.Equal(before, ch.rule.mt.thresh) {
+		t.Fatal("anneal chain did not retune at its stage boundary")
+	}
+	if ch.rule.mt.moveOK != validityOf(Anneal) {
+		t.Fatal("anneal: retune replaced the validity table")
 	}
 }
 
@@ -574,37 +580,6 @@ func TestAnnealCheckpointExactResume(t *testing.T) {
 	names, vals := res.Observables()
 	if names[0] != "gammaEff" || vals[0] != 16 {
 		t.Fatalf("final-stage %s = %v, want 16", names[0], vals[0])
-	}
-}
-
-// TestSetCouplingsGeneric covers mid-run retuning of a non-separation
-// model: SetParams is refused (couplings own the bias now), SetCouplings
-// retunes the thresholds, and a bad vector is rejected with the named
-// error.
-func TestSetCouplingsGeneric(t *testing.T) {
-	cfg, err := Initial(LayoutSpiral, []int{12, 12}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := NewWithModel(cfg, Params{Seed: 2}, Alignment, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.SetParams(Params{Lambda: 4, Gamma: 4}); err == nil {
-		t.Fatal("SetParams accepted on a non-separation chain")
-	}
-	if err := ch.SetCouplings([]float64{2, 8, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ch.Couplings(); got[1] != 8 {
-		t.Fatalf("couplings after SetCouplings: %v", got)
-	}
-	if err := ch.SetCouplings([]float64{2, -1, 3}); !errors.Is(err, ErrBadCoupling) {
-		t.Fatalf("bad coupling accepted: %v", err)
-	}
-	ch.Run(10_000)
-	if err := ch.Config().CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -14,17 +14,17 @@ import (
 // concurrent executors may share one.
 type Rule struct {
 	model Model
-	// params is the owning executor's live parameters: Decide reads
-	// DisableSwaps per proposal, so Chain.SetParams takes effect at once.
-	params *Params
-	mt     modelTables
+	// noSwaps is the executor's swap switch (Params.DisableSwaps), fixed
+	// when the executor is built.
+	noSwaps bool
+	mt      modelTables
 }
 
 // NewRule builds the rule for a model already bound by BindModel, at
-// energy couplings eff (length m.NumExponents()). The rule reads
-// params.DisableSwaps at every swap proposal.
-func NewRule(m Model, eff []float64, params *Params) *Rule {
-	u := newRule(m, params)
+// energy couplings eff (length m.NumExponents()), rejecting every swap
+// proposal when disableSwaps is set.
+func NewRule(m Model, eff []float64, disableSwaps bool) *Rule {
+	u := newRule(m, disableSwaps)
 	u.mt.retune(eff)
 	return &u
 }
@@ -32,8 +32,8 @@ func NewRule(m Model, eff []float64, params *Params) *Rule {
 // newRule returns the rule for bound model m with its shared validity
 // table; the caller fills the thresholds with mt.retune before the first
 // proposal.
-func newRule(m Model, params *Params) Rule {
-	return Rule{model: m, params: params, mt: modelTables{moveOK: validityOf(m)}}
+func newRule(m Model, disableSwaps bool) Rule {
+	return Rule{model: m, noSwaps: disableSwaps, mt: modelTables{moveOK: validityOf(m)}}
 }
 
 // Model returns the bound model the rule decides for.
@@ -61,7 +61,7 @@ func (u *Rule) Decide(g *psys.PairGather, dE []int8, r *rng.Buffered) Outcome {
 		}
 		return Moved
 	}
-	if u.params.DisableSwaps || !u.model.SwapExponents(g, dE) ||
+	if u.noSwaps || !u.model.SwapExponents(g, dE) ||
 		!acceptDraw(r, u.mt.thresh[u.mt.flat(dE)]) {
 		return Rejected
 	}

@@ -197,7 +197,7 @@ func NewShardedWithModel(cfg *psys.Config, params Params, m Model, coup []float6
 		stepOff:   opts.StepOffset,
 		nextReb:   math.MaxUint64,
 	}
-	s.rule = newRule(m, &s.params)
+	s.rule = newRule(m, params.DisableSwaps)
 	if sched, ok := m.(Scheduler); ok {
 		s.sched, s.coupNow = sched, append([]float64(nil), coup...)
 	}

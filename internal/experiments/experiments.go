@@ -17,7 +17,6 @@ import (
 	"sops/internal/lattice"
 	"sops/internal/metrics"
 	"sops/internal/psys"
-	"sops/internal/runner"
 	"sops/internal/stats"
 	"sops/internal/viz"
 )
@@ -176,14 +175,9 @@ func frequencyResult(lambda, gamma float64, hits, samples int) FrequencyResult {
 	}
 }
 
-// CompressionFrequency estimates Pr[α-compressed] under the chain at
-// (λ, γ): burn in, then sample every gap iterations (E6, E8, E14).
-func CompressionFrequency(n int, lambda, gamma, alpha float64, burnin, gap uint64, samples int, seed uint64) (FrequencyResult, error) {
-	return CompressionFrequencyContext(context.Background(), n, lambda, gamma, alpha, burnin, gap, samples, seed)
-}
-
-// CompressionFrequencyContext is CompressionFrequency with cancellation:
-// the underlying chain polls ctx during both burn-in and sampling.
+// CompressionFrequencyContext estimates Pr[α-compressed] under the chain
+// at (λ, γ): burn in, then sample every gap iterations (E6, E8, E14). The
+// underlying chain polls ctx during both burn-in and sampling.
 func CompressionFrequencyContext(ctx context.Context, n int, lambda, gamma, alpha float64, burnin, gap uint64, samples int, seed uint64) (FrequencyResult, error) {
 	cfg, err := core.Initial(core.LayoutLine, core.Bichromatic(n), seed)
 	if err != nil {
@@ -202,15 +196,9 @@ func CompressionFrequencyContext(ctx context.Context, n int, lambda, gamma, alph
 	return frequencyResult(lambda, gamma, hits, samples), nil
 }
 
-// MonochromaticCompressionFrequency is the PODC '16 compression baseline:
-// a single color class, γ = 1, sweeping λ across the provable threshold
-// 2(2+√2) ≈ 6.83 (E14).
-func MonochromaticCompressionFrequency(n int, lambda, alpha float64, burnin, gap uint64, samples int, seed uint64) (FrequencyResult, error) {
-	return MonochromaticCompressionFrequencyContext(context.Background(), n, lambda, alpha, burnin, gap, samples, seed)
-}
-
-// MonochromaticCompressionFrequencyContext is
-// MonochromaticCompressionFrequency with cancellation.
+// MonochromaticCompressionFrequencyContext is the PODC '16 compression
+// baseline: a single color class, γ = 1, sweeping λ across the provable
+// threshold 2(2+√2) ≈ 6.83 (E14). The chain polls ctx throughout.
 func MonochromaticCompressionFrequencyContext(ctx context.Context, n int, lambda, alpha float64, burnin, gap uint64, samples int, seed uint64) (FrequencyResult, error) {
 	cfg, err := core.Initial(core.LayoutLine, []int{n}, seed)
 	if err != nil {
@@ -229,16 +217,11 @@ func MonochromaticCompressionFrequencyContext(ctx context.Context, n int, lambda
 	return frequencyResult(lambda, 1, hits, samples), nil
 }
 
-// FixedShapeSeparation estimates Pr[(β,δ)-separated] under the
+// FixedShapeSeparationContext estimates Pr[(β,δ)-separated] under the
 // fixed-boundary distribution π_P ∝ γ^{−h} sampled by Kawasaki dynamics on
 // a hexagonal shape — the setting of Theorems 14 (large γ) and 16 (γ near
-// one). The shape holds 3·radius²+3·radius+1 particles, half of each color.
-func FixedShapeSeparation(radius int, gamma, beta, delta float64, burnin, gap uint64, samples int, seed uint64) (FrequencyResult, error) {
-	return FixedShapeSeparationContext(context.Background(), radius, gamma, beta, delta, burnin, gap, samples, seed)
-}
-
-// FixedShapeSeparationContext is FixedShapeSeparation with cancellation:
-// the Kawasaki chain polls ctx during both burn-in and sampling.
+// one). The shape holds 3·radius²+3·radius+1 particles, half of each
+// color. The Kawasaki chain polls ctx during both burn-in and sampling.
 func FixedShapeSeparationContext(ctx context.Context, radius int, gamma, beta, delta float64, burnin, gap uint64, samples int, seed uint64) (FrequencyResult, error) {
 	pts := lattice.Hexagon(lattice.Point{}, radius)
 	lattice.SortPoints(pts)
@@ -297,44 +280,4 @@ func MultiColor(k, perColor int, lambda, gamma float64, steps, seed uint64) (Mul
 		res.ClusterFrac = append(res.ClusterFrac, metrics.LargestClusterFraction(ch.Config(), psys.Color(c)))
 	}
 	return res, nil
-}
-
-// Replicated runs fn over replicas independent random seeds concurrently
-// and pools the hit counts into one frequency estimate. Each replica must
-// be an independent chain; the pooled Wilson interval is then valid.
-func Replicated(replicas int, base uint64, fn func(seed uint64) (FrequencyResult, error)) (FrequencyResult, error) {
-	return ReplicatedContext(context.Background(), replicas, base, 0,
-		func(_ context.Context, seed uint64) (FrequencyResult, error) { return fn(seed) })
-}
-
-// ReplicatedContext runs fn over replicas independent seeds on the parallel
-// sweep engine — workers caps the concurrency (values <= 0 use GOMAXPROCS)
-// and cancelling ctx stops the remaining replicas — and pools the hit
-// counts into one frequency estimate. Replica seeds are base + i·1000003,
-// matching Replicated.
-func ReplicatedContext(ctx context.Context, replicas int, base uint64, workers int, fn func(ctx context.Context, seed uint64) (FrequencyResult, error)) (FrequencyResult, error) {
-	if replicas < 1 {
-		return FrequencyResult{}, fmt.Errorf("experiments: need at least one replica")
-	}
-	seeds := make([]uint64, replicas)
-	for i := range seeds {
-		seeds[i] = base + uint64(i)*1_000_003
-	}
-	results, err := runner.Sweep(ctx, seeds, runner.Options{Workers: workers, Seed: base},
-		func(ctx context.Context, seed uint64, _ uint64) (FrequencyResult, error) {
-			return fn(ctx, seed)
-		})
-	if err != nil {
-		return FrequencyResult{}, err
-	}
-	var pooled FrequencyResult
-	for _, r := range results {
-		pooled.Lambda = r.Value.Lambda
-		pooled.Gamma = r.Value.Gamma
-		pooled.Hits += r.Value.Hits
-		pooled.Samples += r.Value.Samples
-	}
-	pooled.Freq = float64(pooled.Hits) / float64(pooled.Samples)
-	pooled.Lo, pooled.Hi = stats.WilsonCI(pooled.Hits, pooled.Samples)
-	return pooled, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 )
@@ -72,7 +71,7 @@ func TestCompressionFrequencyRegimes(t *testing.T) {
 		t.Skip("long run")
 	}
 	// λγ = 16 ≫ 6.83: compression should hold at nearly every sample.
-	strong, err := CompressionFrequency(40, 4, 4, 3, 1_000_000, 5_000, 40, 4)
+	strong, err := CompressionFrequencyContext(context.Background(), 40, 4, 4, 3, 1_000_000, 5_000, 40, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestCompressionFrequencyRegimes(t *testing.T) {
 	}
 	// λ = γ = 1: uniform over configurations; expansion dominates by
 	// entropy and α=3 compression is rare.
-	weak, err := CompressionFrequency(40, 1, 1, 3, 1_000_000, 5_000, 40, 5)
+	weak, err := CompressionFrequencyContext(context.Background(), 40, 1, 1, 3, 1_000_000, 5_000, 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestMonochromaticBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long run")
 	}
-	res, err := MonochromaticCompressionFrequency(40, 6, 3, 1_000_000, 5_000, 30, 6)
+	res, err := MonochromaticCompressionFrequencyContext(context.Background(), 40, 6, 3, 1_000_000, 5_000, 30, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +113,12 @@ func TestFixedShapeSeparationRegimes(t *testing.T) {
 		t.Skip("long run")
 	}
 	// Theorem 14 regime: large γ on a fixed compressed shape separates.
-	sep, err := FixedShapeSeparation(3, 6, 4, 0.25, 2_000_000, 10_000, 30, 7)
+	sep, err := FixedShapeSeparationContext(context.Background(), 3, 6, 4, 0.25, 2_000_000, 10_000, 30, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Theorem 16 regime: γ in (79/81, 81/79) stays integrated.
-	integ, err := FixedShapeSeparation(3, 81.0/79.0, 4, 0.25, 2_000_000, 10_000, 30, 8)
+	integ, err := FixedShapeSeparationContext(context.Background(), 3, 81.0/79.0, 4, 0.25, 2_000_000, 10_000, 30, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,81 +166,24 @@ func TestDefaultPhaseGrid(t *testing.T) {
 	}
 }
 
-func TestReplicatedPoolsCounts(t *testing.T) {
-	res, err := Replicated(4, 100, func(seed uint64) (FrequencyResult, error) {
-		return FrequencyResult{Lambda: 2, Gamma: 3, Hits: 3, Samples: 10}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hits != 12 || res.Samples != 40 {
-		t.Fatalf("pooled %d/%d", res.Hits, res.Samples)
-	}
-	if res.Freq != 0.3 || res.Lambda != 2 || res.Gamma != 3 {
-		t.Fatalf("pooled result %+v", res)
-	}
-	if res.Lo > 0.3 || res.Hi < 0.3 {
-		t.Fatalf("CI does not bracket: %+v", res)
-	}
-	if _, err := Replicated(0, 1, nil); err == nil {
-		t.Fatal("zero replicas accepted")
-	}
-}
-
-func TestReplicatedParallelChains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long run")
-	}
-	res, err := Replicated(4, 40, func(seed uint64) (FrequencyResult, error) {
-		return CompressionFrequency(40, 4, 4, 3, 600_000, 5_000, 10, seed)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Samples != 40 {
-		t.Fatalf("pooled samples %d", res.Samples)
-	}
-	if res.Freq < 0.8 {
-		t.Fatalf("pooled compression frequency %v", res.Freq)
-	}
-}
-
-func TestReplicatedPropagatesError(t *testing.T) {
-	_, err := Replicated(3, 1, func(seed uint64) (FrequencyResult, error) {
-		return FrequencyResult{}, errTest
-	})
-	if err == nil {
-		t.Fatal("error not propagated")
-	}
-}
-
-var errTest = fmt.Errorf("test error")
-
-func TestReplicatedContextMatchesReplicated(t *testing.T) {
-	fn := func(seed uint64) (FrequencyResult, error) {
-		return FrequencyResult{Lambda: 2, Gamma: 3, Hits: int(seed % 5), Samples: 10}, nil
-	}
-	serial, err := Replicated(4, 100, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ReplicatedContext(context.Background(), 4, 100, 4,
-		func(_ context.Context, seed uint64) (FrequencyResult, error) { return fn(seed) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != parallel {
-		t.Fatalf("serial %+v != parallel %+v", serial, parallel)
-	}
-}
-
-func TestReplicatedContextCancellation(t *testing.T) {
+// TestFrequencyCancellation: every frequency experiment returns ctx's
+// error when its context is cancelled, instead of running out its budget.
+func TestFrequencyCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ReplicatedContext(ctx, 3, 1, 2, func(ctx context.Context, seed uint64) (FrequencyResult, error) {
-		return CompressionFrequencyContext(ctx, 40, 4, 4, 3, 1<<40, 1, 1, seed)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v", err)
+	for name, run := range map[string]func() (FrequencyResult, error){
+		"compression": func() (FrequencyResult, error) {
+			return CompressionFrequencyContext(ctx, 40, 4, 4, 3, 1<<40, 1, 1, 1)
+		},
+		"monochromatic": func() (FrequencyResult, error) {
+			return MonochromaticCompressionFrequencyContext(ctx, 40, 4, 3, 1<<40, 1, 1, 1)
+		},
+		"fixed-shape": func() (FrequencyResult, error) {
+			return FixedShapeSeparationContext(ctx, 3, 4, 4, 0.25, 1<<40, 1, 1, 1)
+		},
+	} {
+		if _, err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v", name, err)
+		}
 	}
 }

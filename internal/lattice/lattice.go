@@ -144,9 +144,6 @@ func (e Edge) Other(p Point) (Point, bool) {
 // Incident reports whether p is an endpoint of e.
 func (e Edge) Incident(p Point) bool { return p == e.A || p == e.B }
 
-// Translate returns e shifted by the vector d, preserving canonical form.
-func (e Edge) Translate(d Point) Edge { return Edge{A: e.A.Add(d), B: e.B.Add(d)} }
-
 // less orders points lexicographically by (Q, R).
 func less(a, b Point) bool {
 	if a.Q != b.Q {

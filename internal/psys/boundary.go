@@ -81,17 +81,6 @@ func (c *Config) PerimeterWalk() int {
 	return len(c.BoundaryWalk())
 }
 
-// OnOuterBoundary reports whether the particle at p lies on the outer
-// boundary walk of the configuration.
-func (c *Config) OnOuterBoundary(p lattice.Point) bool {
-	for _, w := range c.BoundaryWalk() {
-		if w == p {
-			return true
-		}
-	}
-	return false
-}
-
 // MinPerimeter returns p_min(n), computed exactly as the perimeter of the
 // spiral (hexagon plus partial outer layer) configuration of n particles,
 // which realizes the minimum possible perimeter (Lemma 2 construction).

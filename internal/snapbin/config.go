@@ -159,7 +159,10 @@ func readConfig(r *Reader, bpc uint8, wantN int, wantColors uint8) (*psys.Config
 	if err != nil {
 		return nil, err
 	}
-	var particles []psys.Particle
+	// Every particle is a nonzero cell of a literal byte holding 8/bpc
+	// cells, so the bytes left bound how many an untrusted frame can
+	// hold: size the list once, without trusting the header's count.
+	particles := make([]psys.Particle, 0, min(wantN, r.Remaining()*8/int(bpc)))
 	pb := planeBytes(bpc)
 	var plane [lattice.TileArea]byte
 	prev := lattice.TileCoord{}

@@ -328,10 +328,11 @@ type System struct {
 	th    metrics.Thresholds
 	meter *metrics.Meter
 
-	// Auto-checkpointing, configured by SetAutoCheckpoint: during a serial
-	// Run the chain state is written atomically to ckptPath every ckptEvery
-	// steps, so a killed process loses at most one interval of work; a
-	// sharded Run writes it once, when the run returns.
+	// Auto-checkpointing, configured by SetAutoCheckpoint: a serial Run
+	// writes the chain state atomically to ckptPath at every absolute
+	// multiple of ckptEvery and where it stops, so a killed process loses
+	// at most one interval of work; a sharded Run writes it once, when the
+	// run returns.
 	ckptPath  string
 	ckptEvery uint64
 
@@ -444,7 +445,10 @@ type RunSpec struct {
 	// every multiple of SampleEvery (in absolute step count, so resumed
 	// runs sample at the same trajectory points as uninterrupted ones)
 	// to capture a Snapshot for the Observer and Recorder. 0 samples
-	// once, when the run ends.
+	// once, when the run ends. Sampling is independent of
+	// auto-checkpointing (SetAutoCheckpoint): a sample pause writes no
+	// checkpoint, and a checkpoint pause takes no sample unless it also
+	// falls on a multiple of SampleEvery.
 	SampleEvery uint64
 	// Observer, if non-nil, receives each sample; returning false stops
 	// the run early. On cancellation it is invoked one final time with
@@ -464,8 +468,8 @@ type RunSpec struct {
 	// After the run the System carries the evolved configuration and
 	// cumulative statistics and can be measured, checkpointed, or resumed
 	// with any Workers setting. Auto-checkpointing (SetAutoCheckpoint)
-	// writes once, when a sharded run returns, not at every interval: a
-	// process killed mid-run loses the whole sharded segment.
+	// writes once, when a sharded run returns, not at the interval's
+	// multiples: a process killed mid-run loses the whole sharded segment.
 	Workers int
 }
 
@@ -491,10 +495,15 @@ func (s *System) deriveTrace(rec *Recorder) {
 // resumed, measured or checkpointed. Run is the single run entry point;
 // only the bare RunSteps loop exists beside it.
 //
-// If SetAutoCheckpoint configured a checkpoint file, the state is written
-// to it (atomically) when the run stops, including on cancellation, and a
-// serial run (Workers ≤ 1) also writes it after every checkpoint interval;
-// a checkpoint write failure stops the run and is returned.
+// If SetAutoCheckpoint configured a checkpoint file, a serial run
+// (Workers ≤ 1) writes the state to it (atomically) at every absolute
+// multiple of the checkpoint interval it reaches, and once more when it
+// stops anywhere else: at the end, on cancellation, or when the Observer
+// returns false. Sample pauses write nothing, and no step is written
+// twice. A sharded run writes once, when it returns. A checkpoint write
+// failure stops the run and is returned, joined with ctx's error when the
+// failed write was a cancelled run's last: with auto-checkpointing on, a
+// bare ctx error means the state the run stopped in was saved.
 func (s *System) Run(ctx context.Context, spec RunSpec) (uint64, error) {
 	if spec.Workers > 1 {
 		return s.runSharded(ctx, spec)
@@ -509,47 +518,70 @@ func (s *System) Run(ctx context.Context, spec RunSpec) (uint64, error) {
 	if rec != nil {
 		s.deriveTrace(rec)
 	}
-	if spec.Observer == nil && rec == nil {
-		return s.runCheckpointed(ctx, spec.Steps)
+	sampling := spec.Observer != nil || rec != nil
+	var sampleEvery uint64
+	if sampling {
+		sampleEvery = spec.SampleEvery
 	}
-	sample := func() Snapshot {
-		snap := s.Metrics()
-		if rec != nil {
-			rec.Offer(TraceSample{Snap: snap, Energy: s.chain.Energy()})
+	ckptEvery := s.ckptEvery
+	if s.ckptPath == "" {
+		ckptEvery = 0
+	}
+	// last is the step this run last wrote, so a stop that lands on a
+	// checkpoint multiple, or follows a failed write, never writes again;
+	// a run of zero steps (batch 0) writes nothing.
+	last := uint64(math.MaxUint64)
+	persist := func() error {
+		if ckptEvery == 0 || s.Steps() == last {
+			return nil
 		}
-		return snap
+		last = s.Steps()
+		return s.WriteCheckpoint(s.ckptPath)
 	}
 	var done uint64
 	for {
-		batch := spec.Steps - done
-		if spec.SampleEvery > 0 {
-			// Stop at the next absolute multiple of the cadence, so a
-			// resumed run samples the same trajectory points as the
-			// uninterrupted one.
-			if next := spec.SampleEvery - s.Steps()%spec.SampleEvery; next < batch {
-				batch = next
-			}
-		}
-		n, err := s.runCheckpointed(ctx, batch)
+		// Pause at whichever comes first: the end of the run or the next
+		// absolute multiple of either cadence, so a resumed run samples
+		// and checkpoints at the same trajectory points as the
+		// uninterrupted one.
+		batch := untilMultiple(s.Steps(), sampleEvery, spec.Steps-done)
+		batch = untilMultiple(s.Steps(), ckptEvery, batch)
+		n, err := s.chain.RunContext(ctx, batch)
 		done += n
-		if err != nil {
-			// The run was cut short mid-interval: still surface the
-			// final state to the observer and the trace.
-			snap := sample()
-			if spec.Observer != nil {
-				spec.Observer(snap)
+		stop := err != nil || done >= spec.Steps
+		if batch > 0 && (stop || onMultiple(s.Steps(), ckptEvery)) {
+			if werr := persist(); werr != nil {
+				err, stop = errors.Join(err, werr), true
 			}
+		}
+		if sampling && (stop || onMultiple(s.Steps(), sampleEvery)) {
+			snap := s.Metrics()
+			if rec != nil {
+				rec.Offer(TraceSample{Snap: snap, Energy: s.chain.Energy()})
+			}
+			// A run cut short still surfaces its final state to the
+			// observer; only a run still going can be stopped by it.
+			if spec.Observer != nil && !spec.Observer(snap) && !stop {
+				return done, persist()
+			}
+		}
+		if stop {
 			return done, err
-		}
-		snap := sample()
-		if spec.Observer != nil && !spec.Observer(snap) {
-			return done, nil
-		}
-		if done >= spec.Steps {
-			return done, nil
 		}
 	}
 }
+
+// untilMultiple returns the steps from step to the next multiple of every,
+// capped at limit; every = 0 means no cadence.
+func untilMultiple(step, every, limit uint64) uint64 {
+	if every == 0 {
+		return limit
+	}
+	return min(limit, every-step%every)
+}
+
+// onMultiple reports whether step is a multiple of a nonzero cadence.
+func onMultiple(step, every uint64) bool { return every > 0 && step%every == 0 }
 
 // runSharded executes one RunSpec on the sharded multicore engine: the
 // chain's configuration is lifted into a tile store, evolved by
@@ -640,30 +672,6 @@ func (s *System) runSharded(ctx context.Context, spec RunSpec) (uint64, error) {
 	return done, fold()
 }
 
-// runCheckpointed performs up to steps iterations with cancellation,
-// honoring the SetAutoCheckpoint configuration.
-func (s *System) runCheckpointed(ctx context.Context, steps uint64) (uint64, error) {
-	if s.ckptEvery == 0 || s.ckptPath == "" {
-		return s.chain.RunContext(ctx, steps)
-	}
-	var done uint64
-	for done < steps {
-		batch := s.ckptEvery
-		if steps-done < batch {
-			batch = steps - done
-		}
-		n, err := s.chain.RunContext(ctx, batch)
-		done += n
-		if werr := s.WriteCheckpoint(s.ckptPath); werr != nil && err == nil {
-			err = werr
-		}
-		if err != nil {
-			return done, err
-		}
-	}
-	return done, nil
-}
-
 // RunSteps performs steps iterations unconditionally. It never checkpoints
 // and takes no context; for long or observable runs use Run.
 func (s *System) RunSteps(steps uint64) { s.chain.Run(steps) }
@@ -747,13 +755,20 @@ func IsSeparated(cfg *Config, beta, delta float64) bool {
 // and long runs.
 func (s *System) CheckInvariants() error { return s.chain.Config().CheckInvariants() }
 
-// SetAutoCheckpoint configures crash-safe checkpointing for Run: the full
-// chain state is written atomically (temp file + rename) to path after
-// every `every` steps of a serial run, so a process killed mid-run loses at
-// most one interval of work and resumes with RestoreFile. A sharded run
-// (RunSpec.Workers > 1) writes the checkpoint only when it returns, so a
-// kill mid-run loses the whole sharded segment. every = 0 or an empty path
-// disables auto-checkpointing.
+// SetAutoCheckpoint configures crash-safe checkpointing for Run: a serial
+// run writes the full chain state atomically (temp file + rename) to path
+// whenever the absolute step count reaches a multiple of every, and once
+// more where the run stops if that is not such a multiple (the end,
+// cancellation, or an Observer returning false). A process killed mid-run
+// therefore loses at most one interval of work and resumes with
+// RestoreFile, and because the multiples are absolute, a resumed run
+// writes at the same steps as an uninterrupted one. Sample pauses
+// (RunSpec.SampleEvery) write nothing. The file previously at path is
+// kept as path+".prev", so after a run that ended on a multiple it holds
+// the previous multiple. A sharded run (RunSpec.Workers > 1) writes the
+// checkpoint only when it returns, so a kill mid-run loses the whole
+// sharded segment. every = 0 or an empty path disables
+// auto-checkpointing.
 func (s *System) SetAutoCheckpoint(path string, every uint64) {
 	s.ckptPath, s.ckptEvery = path, every
 }

@@ -54,11 +54,12 @@ type sweepManifest struct {
 	Done []sweepCellRecord `json:"done"`
 }
 
-// sweepCheckpointer persists sweep progress: an atomically-replaced JSON
-// manifest of completed cells at path, plus optional per-cell chain
-// checkpoints at path + ".cellNNNN" while cells are in flight. All methods
-// are safe for concurrent use by the sweep workers; a nil checkpointer is
-// valid and does nothing.
+// sweepCheckpointer persists sweep progress: an atomically replaced
+// manifest of completed cells at path (a sealed snapbin frame; JSON-era
+// manifests still load), plus optional per-cell chain checkpoints at
+// path + ".cellNNNN" while cells are in flight. All methods are safe for
+// concurrent use by the sweep workers; a nil checkpointer is valid and
+// does nothing.
 type sweepCheckpointer struct {
 	path  string
 	every int    // manifest write cadence, in completed cells

@@ -292,7 +292,7 @@ func TestSweepProgress(t *testing.T) {
 
 // TestDistributedProbe runs the amoebot runtime with a probe attached: the
 // published totals must match the scheduler's own accounting exactly once
-// the run returns, for both the sequential and concurrent schedulers.
+// the run returns, at one worker and at four.
 func TestDistributedProbe(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		d, err := NewDistributed(Options{Counts: []int{15, 15}, Lambda: 4, Gamma: 4, Seed: 9})
