@@ -208,13 +208,12 @@ func TestResumeSweepCorruptCellRecomputes(t *testing.T) {
 // generation degrades to a full recompute — never a failed or wrong sweep.
 func TestResumeSweepCorruptManifestRecomputes(t *testing.T) {
 	spec := SweepSpec{
-		Lambdas:         []float64{2, 4},
-		Gammas:          []float64{2},
-		Seeds:           []uint64{1, 2},
-		Counts:          []int{6, 6},
-		Steps:           5_000,
-		CheckpointPath:  filepath.Join(t.TempDir(), "sweep.json"),
-		CheckpointEvery: 1,
+		Lambdas:        []float64{2, 4},
+		Gammas:         []float64{2},
+		Seeds:          []uint64{1, 2},
+		Counts:         []int{6, 6},
+		Steps:          5_000,
+		CheckpointPath: filepath.Join(t.TempDir(), "sweep.json"),
 	}
 	want, err := Sweep(context.Background(), spec)
 	if err != nil {

@@ -218,10 +218,12 @@ func MonochromaticCompressionFrequencyContext(ctx context.Context, n int, lambda
 }
 
 // FixedShapeSeparationContext estimates Pr[(β,δ)-separated] under the
-// fixed-boundary distribution π_P ∝ γ^{−h} sampled by Kawasaki dynamics on
-// a hexagonal shape — the setting of Theorems 14 (large γ) and 16 (γ near
-// one). The shape holds 3·radius²+3·radius+1 particles, half of each
-// color. The Kawasaki chain polls ctx during both burn-in and sampling.
+// fixed-boundary distribution π_P ∝ γ^{−h} on a hexagonal shape — the
+// setting of Theorems 14 (large γ) and 16 (γ near one). The shape holds
+// 3·radius²+3·radius+1 particles, half of each color, and π_P is sampled
+// by chain M restricted to swap moves: core.Chain running the
+// ising.Kawasaki model. The chain polls ctx during both burn-in and
+// sampling.
 func FixedShapeSeparationContext(ctx context.Context, radius int, gamma, beta, delta float64, burnin, gap uint64, samples int, seed uint64) (FrequencyResult, error) {
 	pts := lattice.Hexagon(lattice.Point{}, radius)
 	lattice.SortPoints(pts)
@@ -235,12 +237,12 @@ func FixedShapeSeparationContext(ctx context.Context, radius int, gamma, beta, d
 			return FrequencyResult{}, err
 		}
 	}
-	k, err := ising.NewKawasaki(cfg, gamma, seed)
+	ch, err := core.NewWithModel(cfg, core.Params{Seed: seed}, ising.Kawasaki, []float64{gamma})
 	if err != nil {
 		return FrequencyResult{}, err
 	}
-	hits, err := sampleFrequency(ctx, k.RunContext,
-		func() bool { return metrics.IsSeparated(k.Config(), beta, delta) },
+	hits, err := sampleFrequency(ctx, ch.RunContext,
+		func() bool { return metrics.IsSeparated(ch.Config(), beta, delta) },
 		burnin, gap, samples)
 	if err != nil {
 		return FrequencyResult{}, err

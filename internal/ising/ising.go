@@ -7,210 +7,56 @@
 // 16 — an Ising/Potts model with conserved color counts on the subgraph
 // induced by the shape. This package provides:
 //
-//   - Kawasaki dynamics: color-conserving nearest-neighbor swaps with a
-//     Metropolis filter, sampling π_P at fixed color counts;
-//   - Glauber dynamics: heat-bath single-site color resampling, sampling
-//     the unconstrained measure ∝ γ^{a(σ)};
+//   - Kawasaki, the core.Model of that restriction: core.Chain runs it as
+//     chain M with every move vetoed, so color-conserving nearest-neighbor
+//     swaps under M's own Metropolis filter sample π_P at fixed color
+//     counts;
 //   - the high-temperature expansion (§4): the exact identity rewriting
 //     Σ_σ γ^{−h(σ)} as a sum over even edge sets, used to analyze γ near 1.
 package ising
 
 import (
-	"context"
-	"errors"
 	"math"
 
+	"sops/internal/core"
 	"sops/internal/lattice"
 	"sops/internal/psys"
-	"sops/internal/rng"
 )
 
-// Kawasaki is the conserved-color swap chain on a fixed particle shape.
-// It is the restriction of Markov chain M to swap moves and therefore
-// samples π_P(σ) ∝ γ^{−h(σ)} over colorings of the shape with the initial
-// color counts.
-type Kawasaki struct {
-	cfg       *psys.Config
-	positions []lattice.Point
-	gamma     float64
-	rand      *rng.Source
-	powGamma  [41]float64 // γ^k for k ∈ [−20, 20]
-	steps     uint64
-	swaps     uint64
+// kawasakiModel is Kawasaki dynamics as a core.Model: the swap arm of
+// Algorithm 1 alone, over the single coupling γ. No move is valid, so a
+// proposal whose target is vacant is rejected without a draw and the shape
+// never changes; a swap is accepted with probability min(1, γ^Δa), Δa the
+// change in same-color adjacencies — separation's swap exponent.
+type kawasakiModel struct{}
+
+// Kawasaki is the conserved-color swap dynamics on a fixed particle shape:
+// core.NewWithModel(cfg, params, Kawasaki, []float64{γ}) builds chain M
+// restricted to swap moves, which samples π_P(σ) ∝ γ^{−h(σ)} over the
+// colorings of cfg's shape with its color counts. It is not registered:
+// the registry lists the dynamics a system, a sweep or a checkpoint may
+// name, and a fixed-shape run is none of those.
+var Kawasaki core.Model = kawasakiModel{}
+
+func (kawasakiModel) Name() string { return "kawasaki" }
+
+func (kawasakiModel) Couplings() []core.Coupling {
+	return []core.Coupling{{Name: "gamma", Default: 4}}
 }
 
-// ErrTooFewParticles is returned for shapes with fewer than two particles.
-var ErrTooFewParticles = errors.New("ising: need at least two particles")
+func (kawasakiModel) NumExponents() int { return 1 }
 
-// NewKawasaki builds the swap chain over cfg's shape. The chain takes
-// ownership of cfg. gamma must be positive.
-func NewKawasaki(cfg *psys.Config, gamma float64, seed uint64) (*Kawasaki, error) {
-	if cfg.N() < 2 {
-		return nil, ErrTooFewParticles
-	}
-	if math.IsNaN(gamma) || gamma <= 0 {
-		return nil, errors.New("ising: gamma must be positive")
-	}
-	k := &Kawasaki{
-		cfg:       cfg,
-		positions: cfg.Points(),
-		gamma:     gamma,
-		rand:      rng.New(seed),
-	}
-	for e := -20; e <= 20; e++ {
-		k.powGamma[e+20] = math.Pow(gamma, float64(e))
-	}
-	return k, nil
-}
+func (kawasakiModel) Valid(lattice.Direction, uint8) bool { return false }
 
-// Step proposes one swap: a uniform particle, a uniform direction, and a
-// Metropolis acceptance on the change in same-color adjacencies — exactly
-// the swap arm of Algorithm 1. It reports whether the configuration
-// changed.
-func (k *Kawasaki) Step() bool {
-	k.steps++
-	l := k.positions[k.rand.Intn(len(k.positions))]
-	lp := l.Neighbor(lattice.Direction(k.rand.Intn(lattice.NumDirections)))
-	cj, occupied := k.cfg.At(lp)
-	if !occupied {
-		return false
-	}
-	ci, _ := k.cfg.At(l)
-	exp := k.cfg.ColorDegreeExcluding(lp, l, ci) - k.cfg.ColorDegree(l, ci) +
-		k.cfg.ColorDegreeExcluding(l, lp, cj) - k.cfg.ColorDegree(lp, cj)
-	prob := k.powGamma[exp+20]
-	if prob < 1 && k.rand.Float64() >= prob {
-		return false
-	}
-	if ci == cj {
-		return false
-	}
-	if err := k.cfg.ApplySwap(l, lp); err != nil {
-		panic("ising: invariant violation applying swap: " + err.Error())
-	}
-	k.swaps++
+func (kawasakiModel) MoveExponents(*psys.PairGather, []int8) {}
+
+func (kawasakiModel) SwapExponents(g *psys.PairGather, dE []int8) bool {
+	dE[0] = int8(g.SwapExponent())
 	return true
 }
 
-// Run performs steps proposals.
-func (k *Kawasaki) Run(steps uint64) {
-	for i := uint64(0); i < steps; i++ {
-		k.Step()
-	}
+// Energy is −a(σ)·ln γ. The edge count e is constant on a frozen shape, so
+// exp(−Energy) ∝ γ^{a} = γ^{e−h} ∝ γ^{−h}: the measure π_P.
+func (kawasakiModel) Energy(v core.ConfigView, coup []float64) float64 {
+	return -float64(v.HomEdges()) * math.Log(coup[0])
 }
-
-// cancelCheckInterval is the number of proposals RunContext performs
-// between polls of the context (same rationale as core.Chain.RunContext).
-const cancelCheckInterval = 8192
-
-// RunContext performs up to steps proposals, polling ctx between batches of
-// cancelCheckInterval proposals. It returns the number of proposals made,
-// together with ctx.Err() if the run was cut short.
-func (k *Kawasaki) RunContext(ctx context.Context, steps uint64) (uint64, error) {
-	var done uint64
-	for done < steps {
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		batch := uint64(cancelCheckInterval)
-		if steps-done < batch {
-			batch = steps - done
-		}
-		for i := uint64(0); i < batch; i++ {
-			k.Step()
-		}
-		done += batch
-	}
-	return done, nil
-}
-
-// Config returns the live configuration (treat as read-only).
-func (k *Kawasaki) Config() *psys.Config { return k.cfg }
-
-// Snapshot returns an independent copy of the configuration.
-func (k *Kawasaki) Snapshot() *psys.Config { return k.cfg.Clone() }
-
-// Steps returns the number of proposals made.
-func (k *Kawasaki) Steps() uint64 { return k.steps }
-
-// Swaps returns the number of accepted color-changing swaps.
-func (k *Kawasaki) Swaps() uint64 { return k.swaps }
-
-// Glauber is the heat-bath single-site chain over colorings of a fixed
-// shape with k colors: each step resamples one particle's color from the
-// conditional distribution P(c | neighbors) ∝ γ^{|N_c|}. Color counts are
-// not conserved; the stationary distribution is ∝ γ^{a(σ)} over all
-// k-colorings of the shape.
-type Glauber struct {
-	cfg       *psys.Config
-	positions []lattice.Point
-	gamma     float64
-	colors    int
-	rand      *rng.Source
-	steps     uint64
-}
-
-// NewGlauber builds the heat-bath chain with the given number of colors.
-func NewGlauber(cfg *psys.Config, colors int, gamma float64, seed uint64) (*Glauber, error) {
-	if cfg.N() < 1 {
-		return nil, ErrTooFewParticles
-	}
-	if colors < 2 || colors > psys.MaxColors {
-		return nil, psys.ErrColorRange
-	}
-	if math.IsNaN(gamma) || gamma <= 0 {
-		return nil, errors.New("ising: gamma must be positive")
-	}
-	return &Glauber{
-		cfg:       cfg,
-		positions: cfg.Points(),
-		gamma:     gamma,
-		colors:    colors,
-		rand:      rng.New(seed),
-	}, nil
-}
-
-// Step resamples one uniformly chosen particle's color.
-func (g *Glauber) Step() {
-	g.steps++
-	l := g.positions[g.rand.Intn(len(g.positions))]
-	cur, _ := g.cfg.At(l)
-	var weights [psys.MaxColors]float64
-	total := 0.0
-	for c := 0; c < g.colors; c++ {
-		w := math.Pow(g.gamma, float64(g.cfg.ColorDegree(l, psys.Color(c))))
-		weights[c] = w
-		total += w
-	}
-	u := g.rand.Float64() * total
-	next := psys.Color(0)
-	for c := 0; c < g.colors; c++ {
-		u -= weights[c]
-		if u < 0 {
-			next = psys.Color(c)
-			break
-		}
-	}
-	if next == cur {
-		return
-	}
-	if err := g.cfg.Remove(l); err != nil {
-		panic("ising: " + err.Error())
-	}
-	if err := g.cfg.Place(l, next); err != nil {
-		panic("ising: " + err.Error())
-	}
-}
-
-// Run performs steps resamplings.
-func (g *Glauber) Run(steps uint64) {
-	for i := uint64(0); i < steps; i++ {
-		g.Step()
-	}
-}
-
-// Config returns the live configuration (treat as read-only).
-func (g *Glauber) Config() *psys.Config { return g.cfg }
-
-// Steps returns the number of resamplings performed.
-func (g *Glauber) Steps() uint64 { return g.steps }

@@ -1,59 +1,59 @@
-package ising
+package ising_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"sops/internal/core"
 	"sops/internal/enumerate"
+	"sops/internal/ising"
 	"sops/internal/lattice"
 	"sops/internal/metrics"
 	"sops/internal/psys"
 )
 
-// hexShape builds a hexagon-patch configuration with the first half of the
-// points (in canonical order) color 0 and the rest color 1.
-func hexShape(t testing.TB, radius int) *psys.Config {
+// hexShape builds a hexagon-patch configuration whose points, in canonical
+// order, take the colors in runs of len/colors, the last color taking the
+// remainder: with two colors the first half is color 0 and the rest color 1.
+func hexShape(t testing.TB, radius, colors int) *psys.Config {
 	t.Helper()
 	pts := lattice.Hexagon(lattice.Point{}, radius)
 	lattice.SortPoints(pts)
 	cfg := psys.New()
+	per := len(pts) / colors
 	for i, p := range pts {
-		col := psys.Color(0)
-		if i >= len(pts)/2 {
-			col = 1
-		}
-		if err := cfg.Place(p, col); err != nil {
+		if err := cfg.Place(p, psys.Color(min(i/per, colors-1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return cfg
 }
 
-func TestNewKawasakiValidation(t *testing.T) {
-	single := psys.New()
-	if err := single.Place(lattice.Point{}, 0); err != nil {
+// kawasaki builds chain M restricted to swaps over cfg's shape.
+func kawasaki(t testing.TB, cfg *psys.Config, gamma float64, seed uint64) *core.Chain {
+	t.Helper()
+	ch, err := core.NewWithModel(cfg, core.Params{Seed: seed}, ising.Kawasaki, []float64{gamma})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewKawasaki(single, 4, 1); err != ErrTooFewParticles {
-		t.Fatalf("single particle: %v", err)
-	}
-	if _, err := NewKawasaki(hexShape(t, 1), 0, 1); err == nil {
-		t.Fatal("gamma=0 accepted")
+	return ch
+}
+
+func TestNewKawasakiValidation(t *testing.T) {
+	_, err := core.NewWithModel(hexShape(t, 1, 2), core.Params{Seed: 1}, ising.Kawasaki, []float64{0})
+	if !errors.Is(err, core.ErrBadCoupling) {
+		t.Fatalf("gamma=0: %v", err)
 	}
 }
 
 func TestKawasakiConservation(t *testing.T) {
-	cfg := hexShape(t, 2)
+	cfg := hexShape(t, 2, 2)
 	n0, n1 := cfg.ColorCount(0), cfg.ColorCount(1)
-	shape := cfg.CanonicalKey()
-	_ = shape
 	pointsBefore := cfg.Points()
-	k, err := NewKawasaki(cfg, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := kawasaki(t, cfg, 4, 7)
 	k.Run(100000)
-	if k.Swaps() == 0 {
+	if k.Stats().Swaps == 0 {
 		t.Fatal("no swaps accepted")
 	}
 	if cfg.ColorCount(0) != n0 || cfg.ColorCount(1) != n1 {
@@ -78,7 +78,7 @@ func TestKawasakiStationary(t *testing.T) {
 		t.Skip("long sampling run")
 	}
 	// Shape: hexagon r=1 (7 vertices), 3 black / 4 white: C(7,3)=35 states.
-	cfg := hexShape(t, 1)
+	cfg := hexShape(t, 1, 2)
 	gamma := 2.0
 	// Enumerate all colorings of the fixed shape with the same counts.
 	pts := cfg.Points()
@@ -122,10 +122,7 @@ func TestKawasakiStationary(t *testing.T) {
 		pi[k] = w / total
 	}
 
-	k, err := NewKawasaki(cfg, gamma, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := kawasaki(t, cfg, gamma, 11)
 	k.Run(20000)
 	hist := map[string]float64{}
 	const samples = 200000
@@ -147,107 +144,15 @@ func TestKawasakiStationary(t *testing.T) {
 // a fixed compressed shape, the conserved-color chain reaches separated
 // colorings; at γ = 1 it stays mixed (Theorem 16 regime).
 func TestKawasakiSeparates(t *testing.T) {
-	cfg := hexShape(t, 3) // 37 particles, half-plane start
+	cfg := hexShape(t, 3, 2) // 37 particles, half-plane start
 	// Scramble first with γ=1 (uniform swaps).
-	k, err := NewKawasaki(cfg, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Run(200000)
+	kawasaki(t, cfg, 1, 3).Run(200000)
 	mixedSeg := metrics.SegregationIndex(cfg)
 
-	k2, err := NewKawasaki(cfg, 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2.Run(2000000)
+	kawasaki(t, cfg, 6, 4).Run(2000000)
 	sepSeg := metrics.SegregationIndex(cfg)
 	if sepSeg < mixedSeg+0.3 {
 		t.Fatalf("γ=6 segregation %v not well above γ=1 level %v", sepSeg, mixedSeg)
-	}
-}
-
-func TestGlauberValidation(t *testing.T) {
-	if _, err := NewGlauber(psys.New(), 2, 4, 1); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	if _, err := NewGlauber(hexShape(t, 1), 1, 4, 1); err == nil {
-		t.Fatal("single color accepted")
-	}
-	if _, err := NewGlauber(hexShape(t, 1), 2, -1, 1); err == nil {
-		t.Fatal("negative gamma accepted")
-	}
-}
-
-func TestGlauberKeepsShape(t *testing.T) {
-	cfg := hexShape(t, 2)
-	before := cfg.Points()
-	g, err := NewGlauber(cfg, 2, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Run(50000)
-	after := cfg.Points()
-	for i := range after {
-		if after[i] != before[i] {
-			t.Fatal("Glauber moved a particle")
-		}
-	}
-	if g.Steps() != 50000 {
-		t.Fatalf("steps %d", g.Steps())
-	}
-}
-
-// TestGlauberStationary: the heat-bath chain samples ∝ γ^{a(σ)} over all
-// 2-colorings of a fixed small shape.
-func TestGlauberStationary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long sampling run")
-	}
-	// Shape: triangle (3 vertices) → 8 colorings.
-	cfg := psys.New()
-	tri := []lattice.Point{{Q: 0, R: 0}, {Q: 1, R: 0}, {Q: 0, R: 1}}
-	for _, p := range tri {
-		if err := cfg.Place(p, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gamma := 2.5
-	// Exact distribution over the 8 colorings.
-	pi := map[string]float64{}
-	total := 0.0
-	for mask := 0; mask < 8; mask++ {
-		c := psys.New()
-		for i, p := range tri {
-			if err := c.Place(p, psys.Color((mask>>uint(i))&1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w := math.Pow(gamma, float64(c.HomEdges()))
-		pi[c.CanonicalKey()] += w
-		total += w
-	}
-	for k := range pi {
-		pi[k] /= total
-	}
-	g, err := NewGlauber(cfg, 2, gamma, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Run(5000)
-	hist := map[string]float64{}
-	const samples = 200000
-	for s := 0; s < samples; s++ {
-		g.Run(2)
-		hist[g.Config().CanonicalKey()]++
-	}
-	tv := 0.0
-	for key, p := range pi {
-		tv += math.Abs(p - hist[key]/samples)
-	}
-	tv /= 2
-	if tv > 0.02 {
-		t.Fatalf("Glauber empirical vs exact TV = %v", tv)
 	}
 }
 
@@ -271,11 +176,11 @@ func TestHighTemperatureExpansion(t *testing.T) {
 			}
 		}
 		for _, gamma := range gammas {
-			brute, err := PartitionBrute(cfg, gamma)
+			brute, err := ising.PartitionBrute(cfg, gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ht, err := PartitionHT(cfg, gamma)
+			ht, err := ising.PartitionHT(cfg, gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,30 +198,33 @@ func TestPartitionSizeLimits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := PartitionBrute(cfg, 2); err != ErrTooLarge {
+	if _, err := ising.PartitionBrute(cfg, 2); err != ising.ErrTooLarge {
 		t.Fatalf("oversized brute: %v", err)
 	}
-	if _, err := PartitionHT(cfg, 2); err != ErrTooLarge {
+	if _, err := ising.PartitionHT(cfg, 2); err != ising.ErrTooLarge {
 		t.Fatalf("oversized HT: %v", err)
 	}
 }
 
 func TestEdgesMatchesConfigCount(t *testing.T) {
-	cfg := hexShape(t, 2)
-	if got := len(Edges(cfg)); got != cfg.Edges() {
+	cfg := hexShape(t, 2, 2)
+	if got := len(ising.Edges(cfg)); got != cfg.Edges() {
 		t.Fatalf("Edges() returned %d, config says %d", got, cfg.Edges())
 	}
 }
 
 // TestKawasakiAgreesWithEnumerateWeights cross-checks the γ^{−h} weights
-// used here against the enumerate package's λ^e·γ^a form: on a fixed shape
-// they induce the same distribution (e is constant, a = e − h).
+// of the Kawasaki model's Energy against the enumerate package's λ^e·γ^a
+// form: on a fixed shape they induce the same distribution (e is constant,
+// a = e − h).
 func TestKawasakiAgreesWithEnumerateWeights(t *testing.T) {
-	cfg := hexShape(t, 1)
+	cfg := hexShape(t, 1, 2)
 	other := cfg.Clone()
-	if err := other.ApplySwap(cfg.Points()[0], cfg.Points()[1]); err != nil {
-		// The first two canonical points may share a color; find a mixed edge.
-		t.Skip("swap setup failed; colors equal")
+	// Canonical points 2 and 3 are adjacent and end the two color runs, so
+	// the swap changes h.
+	pts := cfg.Points()
+	if err := other.ApplySwap(pts[2], pts[3]); err != nil || other.HetEdges() == cfg.HetEdges() {
+		t.Fatalf("swap setup: %v, h %d → %d", err, cfg.HetEdges(), other.HetEdges())
 	}
 	gamma := 3.0
 	w1, _ := enumerate.Weights([]*psys.Config{cfg, other}, 1, gamma)
@@ -325,28 +233,17 @@ func TestKawasakiAgreesWithEnumerateWeights(t *testing.T) {
 	if math.Abs(ratioLemma9-ratioHT)/ratioHT > 1e-12 {
 		t.Fatalf("weight ratios disagree: %v vs %v", ratioLemma9, ratioHT)
 	}
+	coup := []float64{gamma}
+	ratioModel := math.Exp(ising.Kawasaki.Energy(other, coup) - ising.Kawasaki.Energy(cfg, coup))
+	if math.Abs(ratioLemma9-ratioModel)/ratioModel > 1e-12 {
+		t.Fatalf("model weight ratio %v, enumerate %v", ratioModel, ratioLemma9)
+	}
 }
 
 func BenchmarkKawasakiStep(b *testing.B) {
-	cfg := hexShape(b, 3)
-	k, err := NewKawasaki(cfg, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	k := kawasaki(b, hexShape(b, 3, 2), 4, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Step()
-	}
-}
-
-func BenchmarkGlauberStep(b *testing.B) {
-	cfg := hexShape(b, 3)
-	g, err := NewGlauber(cfg, 2, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Step()
 	}
 }

@@ -52,11 +52,8 @@ type Config struct {
 	// StuckAfter arms the stuck-job watchdog: a running job whose
 	// progress heartbeat (probe step counter) does not advance for this
 	// long is killed with ErrStuck and requeued once; a second kill
-	// poisons it. 0 disables the watchdog.
+	// poisons it. The watchdog polls every StuckAfter/4. 0 disables it.
 	StuckAfter time.Duration
-	// WatchdogEvery is the watchdog poll cadence; values <= 0 mean
-	// StuckAfter/4.
-	WatchdogEvery time.Duration
 	// Logf, if non-nil, receives operational log lines (job lifecycle,
 	// store warnings).
 	Logf func(format string, args ...any)
@@ -125,10 +122,9 @@ func (c *Config) requeueLimit() int {
 	return c.RequeueLimit
 }
 
+// watchdogEvery is the watchdog's poll cadence: StuckAfter/4, or 1s when
+// that rounds to zero.
 func (c *Config) watchdogEvery() time.Duration {
-	if c.WatchdogEvery > 0 {
-		return c.WatchdogEvery
-	}
 	if d := c.StuckAfter / 4; d > 0 {
 		return d
 	}
@@ -646,7 +642,6 @@ func restoreRun(path string, rj *RunJob) *sops.System {
 func (m *Manager) executeSweep(ctx context.Context, j *job) (*Result, error) {
 	spec := *j.spec.Sweep
 	spec.CheckpointPath = m.st.sweepPath(j.id)
-	spec.CheckpointEvery = 1
 	spec.CheckpointSteps = m.cfg.sweepCheckpointSteps()
 	spec.Tracker = j.tracker
 	spec.Probe = j.probe // watchdog heartbeat, shared across cells

@@ -201,7 +201,6 @@ func TestWatchdogKillsStuckJob(t *testing.T) {
 		Workers:         1,
 		CheckpointEvery: 50_000_000, // keep the hot loop off the disk
 		StuckAfter:      40 * time.Millisecond,
-		WatchdogEvery:   10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

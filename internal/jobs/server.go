@@ -28,9 +28,11 @@ import (
 // backpressure sheds a submission or the daemon is shutting down.
 type Server struct {
 	m *Manager
-	// MaxBodyBytes bounds the accepted spec size; 0 means 1 MiB.
-	MaxBodyBytes int64
 }
+
+// maxSpecBytes bounds a submitted spec's body; a larger one is answered
+// 400 without being decoded.
+const maxSpecBytes = 1 << 20
 
 // NewServer wraps a manager in the HTTP API.
 func NewServer(m *Manager) *Server { return &Server{m: m} }
@@ -106,11 +108,7 @@ func writeError(w http.ResponseWriter, err error) {
 
 // submit handles POST /v1/jobs.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	limit := s.MaxBodyBytes
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("read body: %v", err)})
 		return

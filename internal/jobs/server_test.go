@@ -143,6 +143,7 @@ func TestServerValidationErrors(t *testing.T) {
 		{"no steps", `{"run": {"options": {"counts": [4], "lambda": 2, "gamma": 2}}}`, "steps", http.StatusBadRequest},
 		{"bad layout", `{"run": {"options": {"counts": [4], "lambda": 2, "gamma": 2, "layout": "ring"}, "steps": 10}}`, "layout", http.StatusBadRequest},
 		{"empty sweep", `{"sweep": {"counts": [4], "steps": 10}}`, "lambdas", http.StatusBadRequest},
+		{"over-limit body", `{"name": "` + strings.Repeat("x", maxSpecBytes) + `"}`, "too large", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

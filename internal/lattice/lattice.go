@@ -129,21 +129,6 @@ func NewEdge(p, q Point) Edge {
 	return Edge{A: p, B: q}
 }
 
-// Other returns the endpoint of e that is not p; ok is false if p is not an
-// endpoint of e.
-func (e Edge) Other(p Point) (Point, bool) {
-	switch p {
-	case e.A:
-		return e.B, true
-	case e.B:
-		return e.A, true
-	}
-	return Point{}, false
-}
-
-// Incident reports whether p is an endpoint of e.
-func (e Edge) Incident(p Point) bool { return p == e.A || p == e.B }
-
 // less orders points lexicographically by (Q, R).
 func less(a, b Point) bool {
 	if a.Q != b.Q {

@@ -242,15 +242,8 @@ func TestEdgeCanonical(t *testing.T) {
 	if NewEdge(p, q) != NewEdge(q, p) {
 		t.Fatal("edge canonical form depends on endpoint order")
 	}
-	e := NewEdge(p, q)
-	if !e.Incident(p) || !e.Incident(q) || e.Incident(Point{5, 5}) {
-		t.Fatal("Incident misbehaves")
-	}
-	if o, ok := e.Other(p); !ok || o != q {
-		t.Fatal("Other(p) != q")
-	}
-	if _, ok := e.Other(Point{9, 9}); ok {
-		t.Fatal("Other accepted non-endpoint")
+	if e := NewEdge(q, p); e.A != p || e.B != q {
+		t.Fatalf("NewEdge(%v, %v) = %v, want the lesser point first", q, p, e)
 	}
 }
 

@@ -52,11 +52,6 @@ func (t TileCoord) Key() uint64 {
 	return uint64(uint32(t.TQ))<<32 | uint64(uint32(t.TR))
 }
 
-// TileCoordOfKey inverts Key.
-func TileCoordOfKey(k uint64) TileCoord {
-	return TileCoord{TQ: int(int32(k >> 32)), TR: int(int32(k))}
-}
-
 // TileIndex returns the row-major index of p within its tile:
 // localR*TileSize + localQ, with local coordinates in [0, TileSize).
 func TileIndex(p Point) int {
@@ -70,16 +65,4 @@ func TileInterior2(p Point) bool {
 	lq := p.Q & tileMask
 	lr := p.R & tileMask
 	return lq >= 2 && lq < TileSize-2 && lr >= 2 && lr < TileSize-2
-}
-
-// TileNeighborOffsets returns the in-tile row-major index deltas of the
-// six direction offsets, valid for points with TileInterior2 (or any
-// point whose neighbors stay within the tile).
-func TileNeighborOffsets() [NumDirections]int {
-	var offs [NumDirections]int
-	for d := Direction(0); d < NumDirections; d++ {
-		o := d.Offset()
-		offs[d] = o.R*TileSize + o.Q
-	}
-	return offs
 }

@@ -58,8 +58,9 @@ func TestTileKeyRoundTrip(t *testing.T) {
 			t.Fatalf("duplicate key for %v", tc)
 		}
 		seen[k] = true
-		if TileCoordOfKey(k) != tc {
-			t.Fatalf("key round trip: %v -> %d -> %v", tc, k, TileCoordOfKey(k))
+		// The high and low 32 bits hold the two signed coordinates.
+		if back := (TileCoord{TQ: int(int32(k >> 32)), TR: int(int32(k))}); back != tc {
+			t.Fatalf("key round trip: %v -> %d -> %v", tc, k, back)
 		}
 	}
 }
@@ -93,17 +94,20 @@ func TestTileInterior2(t *testing.T) {
 	}
 }
 
+// TestTileNeighborOffsets: inside a tile, TileIndex is the tile window's
+// row-major index, so a direction's index delta is o.R·TileSize + o.Q.
 func TestTileNeighborOffsets(t *testing.T) {
-	offs := TileNeighborOffsets()
 	tc := TileCoord{0, 0}
 	win := tc.Window()
 	p := Point{8, 8}
 	for d := Direction(0); d < NumDirections; d++ {
 		nb := p.Neighbor(d)
-		if win.Index(nb)-win.Index(p) != offs[d] {
+		o := d.Offset()
+		off := o.R*TileSize + o.Q
+		if win.Index(nb)-win.Index(p) != off {
 			t.Fatalf("offset mismatch for direction %v", d)
 		}
-		if TileIndex(p)+offs[d] != TileIndex(nb) {
+		if TileIndex(p)+off != TileIndex(nb) {
 			t.Fatalf("TileIndex offset mismatch for direction %v", d)
 		}
 	}

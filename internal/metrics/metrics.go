@@ -279,12 +279,3 @@ func PairwiseHetMatrix(cfg *psys.Config) [][]int {
 	}
 	return out
 }
-
-// InterfaceLength returns the number of edges between colors a and b.
-func InterfaceLength(cfg *psys.Config, a, b psys.Color) int {
-	m := PairwiseHetMatrix(cfg)
-	if int(a) >= len(m) || int(b) >= len(m) {
-		return 0
-	}
-	return m[a][b]
-}

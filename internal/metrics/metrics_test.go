@@ -325,12 +325,6 @@ func TestPairwiseHetMatrix(t *testing.T) {
 			}
 		}
 	}
-	if InterfaceLength(cfg, 0, 1) != 1 {
-		t.Fatal("interface length wrong")
-	}
-	if InterfaceLength(cfg, 0, 7) != 0 {
-		t.Fatal("absent color should have zero interface")
-	}
 }
 
 func TestPairwiseMatrixTotalsMatchConfig(t *testing.T) {

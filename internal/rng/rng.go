@@ -100,16 +100,6 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Bool returns an unbiased random boolean.
 func (r *Source) Bool() bool {
 	return r.Uint64()&1 == 1

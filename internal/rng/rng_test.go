@@ -98,13 +98,15 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
+// TestPermIsPermutation: Shuffle of the identity is a permutation.
 func TestPermIsPermutation(t *testing.T) {
 	err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		New(seed).Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

@@ -1,81 +1,12 @@
-// Package stats provides the small statistical toolkit used by the
-// experiment harness: streaming summaries, confidence intervals, histograms
-// and time series with burn-in handling.
+// Package stats provides the small statistical toolkit the experiment
+// harness and the benchmark checks use: the Wilson interval of a binomial
+// proportion and sample quantiles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Summary accumulates streaming moments of a sample.
-type Summary struct {
-	n              int
-	mean, m2       float64
-	minVal, maxVal float64
-}
-
-// Add incorporates x (Welford's algorithm).
-func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.minVal, s.maxVal = x, x
-	} else {
-		if x < s.minVal {
-			s.minVal = x
-		}
-		if x > s.maxVal {
-			s.maxVal = x
-		}
-	}
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the sample mean (0 for an empty summary).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance.
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// StdErr returns the standard error of the mean.
-func (s *Summary) StdErr() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.Std() / math.Sqrt(float64(s.n))
-}
-
-// Min returns the smallest observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.minVal }
-
-// Max returns the largest observation (0 for an empty summary).
-func (s *Summary) Max() float64 { return s.maxVal }
-
-// CI95 returns the normal-approximation 95% confidence interval for the
-// mean.
-func (s *Summary) CI95() (lo, hi float64) {
-	half := 1.959963984540054 * s.StdErr()
-	return s.mean - half, s.mean + half
-}
-
-// String formats the summary as "mean ± stderr (n=N)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean(), s.StdErr(), s.n)
-}
 
 // WilsonCI returns the 95% Wilson score interval for a binomial proportion
 // with successes out of trials — the right interval for estimating
@@ -125,110 +56,3 @@ func Quantile(sample []float64, q float64) float64 {
 	}
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }
-
-// Series is a time series of (step, value) observations.
-type Series struct {
-	Steps  []uint64
-	Values []float64
-}
-
-// Append records an observation.
-func (s *Series) Append(step uint64, v float64) {
-	s.Steps = append(s.Steps, step)
-	s.Values = append(s.Values, v)
-}
-
-// Len returns the number of observations.
-func (s *Series) Len() int { return len(s.Values) }
-
-// After returns the summary of values observed strictly after step,
-// discarding burn-in.
-func (s *Series) After(step uint64) *Summary {
-	var sum Summary
-	for i, st := range s.Steps {
-		if st > step {
-			sum.Add(s.Values[i])
-		}
-	}
-	return &sum
-}
-
-// Last returns the final value, or NaN if empty.
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return math.NaN()
-	}
-	return s.Values[len(s.Values)-1]
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of the values,
-// a convergence diagnostic for chain observables.
-func (s *Series) Autocorrelation(lag int) float64 {
-	v := s.Values
-	n := len(v)
-	if lag <= 0 || lag >= n {
-		return math.NaN()
-	}
-	mean := 0.0
-	for _, x := range v {
-		mean += x
-	}
-	mean /= float64(n)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := v[i] - mean
-		den += d * d
-		if i+lag < n {
-			num += d * (v[i+lag] - mean)
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// Histogram counts observations into equal-width bins over [lo, hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins on [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records an observation; out-of-range values are tallied separately.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	if x >= h.Hi {
-		h.over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i == len(h.Counts) {
-		i--
-	}
-	h.Counts[i]++
-}
-
-// Total returns all observations including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.under + h.over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Outliers returns the number of observations below Lo and at or above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }

@@ -6,75 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		s.Add(x)
-	}
-	if s.N() != 5 {
-		t.Fatalf("N=%d", s.N())
-	}
-	if math.Abs(s.Mean()-3) > 1e-12 {
-		t.Fatalf("mean %v", s.Mean())
-	}
-	if math.Abs(s.Var()-2.5) > 1e-12 {
-		t.Fatalf("var %v", s.Var())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("min/max %v/%v", s.Min(), s.Max())
-	}
-	lo, hi := s.CI95()
-	if lo >= s.Mean() || hi <= s.Mean() {
-		t.Fatalf("CI [%v,%v] does not bracket mean", lo, hi)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
-func TestSummaryEmptyAndSingle(t *testing.T) {
-	var s Summary
-	if s.Var() != 0 || s.StdErr() != 0 || s.Mean() != 0 {
-		t.Fatal("empty summary not zeroed")
-	}
-	s.Add(7)
-	if s.Var() != 0 || s.Mean() != 7 || s.Min() != 7 || s.Max() != 7 {
-		t.Fatal("single-observation summary wrong")
-	}
-}
-
-func TestSummaryMatchesDirectComputation(t *testing.T) {
-	err := quick.Check(func(raw []float64) bool {
-		var xs []float64
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		var s Summary
-		mean := 0.0
-		for _, x := range xs {
-			s.Add(x)
-			mean += x
-		}
-		mean /= float64(len(xs))
-		variance := 0.0
-		for _, x := range xs {
-			variance += (x - mean) * (x - mean)
-		}
-		variance /= float64(len(xs) - 1)
-		scale := math.Max(1, math.Abs(mean))
-		vscale := math.Max(1, variance)
-		return math.Abs(s.Mean()-mean)/scale < 1e-9 && math.Abs(s.Var()-variance)/vscale < 1e-6
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWilsonCI(t *testing.T) {
 	lo, hi := WilsonCI(0, 0)
 	if lo != 0 || hi != 1 {
@@ -128,76 +59,4 @@ func TestQuantile(t *testing.T) {
 	if xs[0] != 5 {
 		t.Fatal("Quantile mutated input")
 	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Append(uint64(i*100), float64(i))
-	}
-	if s.Len() != 10 {
-		t.Fatalf("len %d", s.Len())
-	}
-	if s.Last() != 9 {
-		t.Fatalf("last %v", s.Last())
-	}
-	post := s.After(400)
-	if post.N() != 5 { // steps 500..900
-		t.Fatalf("after burn-in n=%d", post.N())
-	}
-	if math.Abs(post.Mean()-7) > 1e-12 {
-		t.Fatalf("post-burn-in mean %v", post.Mean())
-	}
-	var empty Series
-	if !math.IsNaN(empty.Last()) {
-		t.Fatal("empty series Last not NaN")
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	var s Series
-	for i := 0; i < 100; i++ {
-		s.Append(uint64(i), float64(i%2)) // perfectly alternating
-	}
-	if ac := s.Autocorrelation(1); ac > -0.9 {
-		t.Fatalf("alternating lag-1 autocorrelation %v, want ~-1", ac)
-	}
-	if ac := s.Autocorrelation(2); ac < 0.9 {
-		t.Fatalf("alternating lag-2 autocorrelation %v, want ~1", ac)
-	}
-	if !math.IsNaN(s.Autocorrelation(0)) || !math.IsNaN(s.Autocorrelation(1000)) {
-		t.Fatal("invalid lags should return NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total %d", h.Total())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Fatalf("outliers %d/%d", under, over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin1 %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bin4 %d", h.Counts[4])
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for inverted bounds")
-		}
-	}()
-	NewHistogram(5, 1, 3)
 }

@@ -109,13 +109,12 @@ func TestSweepSpecJSONRoundTrip(t *testing.T) {
 // the encoding, and decoding leaves them zero for the executor to supply.
 func TestSweepSpecJSONRuntimeFieldsExcluded(t *testing.T) {
 	spec := SweepSpec{
-		Lambdas:         []float64{2},
-		Gammas:          []float64{2},
-		Counts:          []int{10},
-		Steps:           100,
-		Observe:         func(done, total int) {},
-		CheckpointPath:  "/tmp/should-not-travel",
-		CheckpointEvery: 5,
+		Lambdas:        []float64{2},
+		Gammas:         []float64{2},
+		Counts:         []int{10},
+		Steps:          100,
+		Observe:        func(done, total int) {},
+		CheckpointPath: "/tmp/should-not-travel",
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -128,7 +127,7 @@ func TestSweepSpecJSONRuntimeFieldsExcluded(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Observe != nil || got.CheckpointPath != "" || got.CheckpointEvery != 0 {
+	if got.Observe != nil || got.CheckpointPath != "" {
 		t.Fatalf("runtime fields not zero after decode: %+v", got)
 	}
 }

@@ -91,14 +91,11 @@ type SweepSpec struct {
 	Retries int
 	Backoff time.Duration
 	// CheckpointPath, when non-empty, makes the sweep crash-safe: a
-	// manifest of completed cells is written atomically to this path, and
-	// a process killed mid-sweep is continued with ResumeSweep under the
-	// same spec. See EXPERIMENTS.md for the on-disk format.
+	// manifest of completed cells is rewritten atomically at this path
+	// after every completed cell, and a process killed mid-sweep is
+	// continued with ResumeSweep under the same spec. See EXPERIMENTS.md
+	// for the on-disk format.
 	CheckpointPath string
-	// CheckpointEvery is the manifest write cadence in completed cells;
-	// values <= 1 write after every completion. A crash loses at most this
-	// many completed cells (they are recomputed on resume).
-	CheckpointEvery int
 	// CheckpointSteps additionally checkpoints each in-flight cell's chain
 	// state every CheckpointSteps steps to CheckpointPath + ".cellNNNN",
 	// so resuming restores partially-run cells mid-trajectory instead of

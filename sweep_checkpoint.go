@@ -62,17 +62,16 @@ type sweepManifest struct {
 // does nothing.
 type sweepCheckpointer struct {
 	path  string
-	every int    // manifest write cadence, in completed cells
 	steps uint64 // in-flight chain checkpoint interval, 0 = off
 	key   []byte // canonical JSON of the spec's sweepKey
 
-	mu         sync.Mutex
-	done       []sweepCellRecord
-	recorded   map[int]bool
-	attempts   map[int]int
-	sinceWrite int
-	enc        snapbin.Encoder // reusable binary-manifest encode scratch
-	sealed     []byte
+	mu       sync.Mutex
+	done     []sweepCellRecord
+	recorded map[int]bool
+	attempts map[int]int
+	unsaved  bool            // done holds cells the manifest on disk lacks
+	enc      snapbin.Encoder // reusable binary-manifest encode scratch
+	sealed   []byte
 }
 
 // newSweepCheckpointer builds the checkpointer for spec, or nil when the
@@ -98,13 +97,8 @@ func newSweepCheckpointer(spec SweepSpec) (*sweepCheckpointer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sops: encode sweep key: %w", err)
 	}
-	every := spec.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
 	return &sweepCheckpointer{
 		path:     spec.CheckpointPath,
-		every:    every,
 		steps:    spec.CheckpointSteps,
 		key:      key,
 		recorded: make(map[int]bool),
@@ -124,8 +118,8 @@ func (ck *sweepCheckpointer) cellPath(i int) string {
 //
 // The manifest travels in an integrity envelope: a corrupt or truncated
 // manifest is quarantined (see seal.LoadFile) and the ".prev" generation
-// used instead — losing at most one write cadence of completed cells,
-// which resume simply recomputes. When no generation verifies, the resume
+// used instead — losing the cells completed since that generation, which
+// resume simply recomputes. When no generation verifies, the resume
 // degrades to a fresh start rather than failing the sweep: every cell is
 // recomputed, and the results are identical to an uninterrupted run.
 func (ck *sweepCheckpointer) load() (map[int]sweepCellRecord, error) {
@@ -271,7 +265,8 @@ func equalCouplings(a, b []float64) bool {
 }
 
 // complete records cell i's result, drops its in-flight checkpoint, and
-// rewrites the manifest if the cadence is due.
+// rewrites the manifest. A failed write leaves the completion pending for
+// the next write, or for flush at the end of the sweep.
 func (ck *sweepCheckpointer) complete(i int, snap Snapshot) error {
 	ck.mu.Lock()
 	if !ck.recorded[i] {
@@ -281,10 +276,10 @@ func (ck *sweepCheckpointer) complete(i int, snap Snapshot) error {
 			Retries: ck.attempts[i] - 1,
 			Snap:    snap,
 		})
-		ck.sinceWrite++
+		ck.unsaved = true
 	}
 	var err error
-	if ck.sinceWrite >= ck.every {
+	if ck.unsaved {
 		err = ck.writeLocked()
 	}
 	ck.mu.Unlock()
@@ -302,7 +297,7 @@ func (ck *sweepCheckpointer) flush() error {
 	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	if ck.sinceWrite == 0 {
+	if !ck.unsaved {
 		return nil
 	}
 	return ck.writeLocked()
@@ -321,6 +316,6 @@ func (ck *sweepCheckpointer) writeLocked() error {
 	if err := seal.WriteSealed(ck.path, ck.sealed, 0o644); err != nil {
 		return fmt.Errorf("sops: write sweep checkpoint: %w", err)
 	}
-	ck.sinceWrite = 0
+	ck.unsaved = false
 	return nil
 }

@@ -20,7 +20,6 @@ func resumeSpec(dir string) SweepSpec {
 		Steps:           30_000,
 		Workers:         2,
 		CheckpointPath:  filepath.Join(dir, "sweep.json"),
-		CheckpointEvery: 1,
 		CheckpointSteps: 5_000,
 	}
 }
