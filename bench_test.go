@@ -48,10 +48,22 @@ func BenchmarkChainStep(b *testing.B) {
 }
 
 // E21 — the same kernel at n = 1000, exercising the dense occupancy window
-// well beyond the paper's n = 100 and the position-index update path under a
-// larger footprint.
+// and the slot list at ten times the paper's n = 100.
 func BenchmarkChainStepN1000(b *testing.B) {
 	ch := burnedInChain(b, core.LayoutSpiral, 1000, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	stepLoop(b, ch)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
+}
+
+// E21 — the kernel on the large-serial benchmark workload's state: an
+// n = 10⁵ bichromatic spiral at λ = γ = 4, burned in. Its 235,225-cell
+// window and 400 KB slot list outgrow L2, and most of its proposals are
+// same-colour swaps inside the settled blob, which the chain decides from
+// the two end cells without gathering the ring.
+func BenchmarkChainStepN100000(b *testing.B) {
+	ch := burnedInChain(b, core.LayoutSpiral, 100_000, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	stepLoop(b, ch)

@@ -191,7 +191,7 @@ func (c *Chain) retune() {
 	if c.sched != nil {
 		c.nextReb = c.sched.Effective(c.coup, c.stats.Steps, c.coupNow[:k])
 	}
-	c.rule.mt.retune(c.coupNow[:k])
+	c.rule.retune(c.coupNow[:k])
 }
 
 // Model returns the dynamics the chain runs.
@@ -317,9 +317,19 @@ func (c *Chain) N() int { return len(c.slots) }
 // Property5/Float64), which the committed golden trajectories and the
 // psys differential fuzz targets enforce.
 //
-// A pending probe batch is published before the step is counted, so every
-// batch holds whole steps. The gather lands in a persistent chain field so
-// passing its address through the Model interface never allocates.
+// Before it gathers, Step compares the two end bytes at l and lp: l holds
+// the drawn particle, so equal bytes mean a same-coloured particle at lp,
+// a swap that is the identity whichever way its filter goes. The rule's
+// same-colour branch, which Rule.Decide also takes first, decides it from
+// the couplings alone, spending the draw the full decision would have
+// spent (SwapExponents' same-colour contract), so the chain
+// takes the same draws and samples the same trajectory with no ring
+// gather, model call or table probe for the commonest rejection.
+//
+// A pending probe batch is published and a due retune run before the step
+// is counted, so every batch holds whole steps. The gather lands in a
+// persistent chain field so passing its address through the Model
+// interface never allocates.
 func (c *Chain) Step() Outcome {
 	if c.probe != nil && c.stats.Steps-c.probeBase.Steps >= probeBatch {
 		c.FlushProbe()
@@ -331,6 +341,10 @@ func (c *Chain) Step() Outcome {
 	k := c.rand.Intn(len(c.slots))
 	dir := lattice.Direction(c.rand.Intn(lattice.NumDirections))
 	i := int(c.slots[k])
+	if c.cfg.SameAt(i, dir) {
+		c.stats.Rejected++
+		return c.rule.sameColor(c.rand)
+	}
 	c.gather = c.cfg.GatherAt(i, dir)
 	switch c.rule.Decide(&c.gather, c.dE, c.rand) {
 	case Moved:

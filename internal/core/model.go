@@ -93,6 +93,18 @@ type Model interface {
 	MoveExponents(g *psys.PairGather, dE []int8)
 	// SwapExponents fills dE with the exponents of a swap proposal, or
 	// returns false when the model does not permit the swap at all.
+	//
+	// For a same-coloured pair (l and lp hold one colour) the result must
+	// not depend on the ring, the colour or the direction: it must equal
+	// the result on the canonical gather where l and lp hold colour 0 and
+	// the ring is empty. Such a swap is the identity, so it is always
+	// reported Rejected; the rule asks the model once per coupling
+	// setting, on that canonical gather, whether its filter spends a draw,
+	// and decides every same-coloured pair from its two end cells without
+	// calling SwapExponents. A model that broke the contract would still
+	// sample its distribution (the swap changes nothing whichever way the
+	// filter goes) but would consume different draws than a full
+	// evaluation of each proposal.
 	SwapExponents(g *psys.PairGather, dE []int8) bool
 	// Energy is the Hamiltonian value of a full configuration under the
 	// given energy-coupling values (length ≥ NumExponents); the chain's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sops/internal/lattice"
 	"sops/internal/psys"
 	"sops/internal/rng"
 )
@@ -17,7 +18,12 @@ type Rule struct {
 	// noSwaps is the executor's swap switch (Params.DisableSwaps), fixed
 	// when the executor is built.
 	noSwaps bool
-	mt      modelTables
+	// sameDraws reports whether a same-colour swap proposal spends an
+	// acceptance draw at the couplings the thresholds were built for: the
+	// swap switch is on and the threshold of the model's same-colour
+	// exponents (SwapExponents' contract) is below the no-draw sentinel.
+	sameDraws bool
+	mt        modelTables
 }
 
 // NewRule builds the rule for a model already bound by BindModel, at
@@ -25,15 +31,36 @@ type Rule struct {
 // proposal when disableSwaps is set.
 func NewRule(m Model, eff []float64, disableSwaps bool) *Rule {
 	u := newRule(m, disableSwaps)
-	u.mt.retune(eff)
+	u.retune(eff)
 	return &u
 }
 
 // newRule returns the rule for bound model m with its shared validity
-// table; the caller fills the thresholds with mt.retune before the first
+// table; the caller fills the thresholds with retune before the first
 // proposal.
 func newRule(m Model, disableSwaps bool) Rule {
 	return Rule{model: m, noSwaps: disableSwaps, mt: modelTables{moveOK: validityOf(m)}}
+}
+
+// sameColorGather is the canonical same-colour swap proposal: l and lp
+// hold colour 0 and the ring is empty. Under SwapExponents' contract the
+// model's answer on it is its answer for every same-coloured pair.
+var sameColorGather = psys.GatherPairFrom(func(p lattice.Point) (psys.Color, bool) {
+	return 0, p == lattice.Point{} || p == lattice.Point{}.Neighbor(0)
+}, lattice.Point{}, 0)
+
+// retune rebuilds the acceptance thresholds at effective energy couplings
+// eff (length NumExponents) and, from the same tables, whether a
+// same-colour swap spends a draw: the threshold the full decision would
+// probe for the canonical same-colour gather. Every executor calls it at
+// construction and whenever its effective couplings change, never while
+// proposals run.
+func (u *Rule) retune(eff []float64) {
+	u.mt.retune(eff)
+	g := sameColorGather
+	dE := make([]int8, len(eff))
+	u.sameDraws = !u.noSwaps && u.model.SwapExponents(&g, dE) &&
+		u.mt.thresh[u.mt.flat(dE)] != probScale
 }
 
 // Model returns the bound model the rule decides for.
@@ -46,9 +73,15 @@ func (u *Rule) Model() Model { return u.model }
 // the Metropolis filter condition (iii). If lp is occupied it is a swap
 // (steps 9–10), which the swap switch or the model may veto outright. The
 // acceptance draw is taken only when the threshold is below the no-draw
-// sentinel, exactly as the seed implementation consumed its Float64. An
-// accepted swap of two same-colored particles changes nothing and is
-// reported Rejected, so Swapped always means a configuration change.
+// sentinel, exactly as the seed implementation consumed its Float64.
+//
+// A swap of two same-coloured particles is decided first, from the two
+// end bytes alone (sameColor): it changes nothing whichever way its
+// filter goes, so it is reported Rejected and Swapped always means a
+// configuration change. The seed implementation ran its filter all the
+// same, so the rule spends the one draw that filter would have spent,
+// which by SwapExponents' contract depends on the couplings alone. The
+// chain takes the same branch before it gathers.
 func (u *Rule) Decide(g *psys.PairGather, dE []int8, r *rng.Buffered) Outcome {
 	cj, occupied := g.LpColor()
 	if !occupied {
@@ -61,12 +94,23 @@ func (u *Rule) Decide(g *psys.PairGather, dE []int8, r *rng.Buffered) Outcome {
 		}
 		return Moved
 	}
+	if ci, _ := g.LColor(); ci == cj {
+		return u.sameColor(r)
+	}
 	if u.noSwaps || !u.model.SwapExponents(g, dE) ||
 		!acceptDraw(r, u.mt.thresh[u.mt.flat(dE)]) {
 		return Rejected
 	}
-	if ci, _ := g.LColor(); ci == cj {
-		return Rejected
-	}
 	return Swapped
+}
+
+// sameColor decides a swap proposal whose two particles share a colour:
+// it spends the acceptance draw the full decision would have spent
+// (sameDraws) and reports Rejected, with no ring, model call or table
+// probe.
+func (u *Rule) sameColor(r *rng.Buffered) Outcome {
+	if u.sameDraws {
+		r.Uint64()
+	}
+	return Rejected
 }

@@ -218,7 +218,7 @@ func (s *Sharded) retune(abs uint64) {
 	if s.sched != nil {
 		s.nextReb = s.sched.Effective(s.coup, abs, s.coupNow[:k])
 	}
-	s.rule.mt.retune(s.coupNow[:k])
+	s.rule.retune(s.coupNow[:k])
 }
 
 // Model returns the dynamics the executor runs.

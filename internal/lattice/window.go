@@ -61,15 +61,6 @@ func (w Window) Interior(p Point) bool {
 		p.R > w.Min.R && p.R < w.Min.R+w.H-1
 }
 
-// ContainsWindow reports whether every vertex of o lies in w. An empty o is
-// contained in anything.
-func (w Window) ContainsWindow(o Window) bool {
-	if o.Empty() {
-		return true
-	}
-	return w.Contains(o.Min) && w.Contains(o.Max())
-}
-
 // Index returns the row-major slice index of p. The caller must ensure
 // Contains(p); out-of-window points silently alias other cells.
 func (w Window) Index(p Point) int {

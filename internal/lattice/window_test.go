@@ -115,21 +115,6 @@ func TestWindowInteriorBorder(t *testing.T) {
 	}
 }
 
-// TestWindowContainsWindow covers nesting, equality and the empty case.
-func TestWindowContainsWindow(t *testing.T) {
-	outer := WindowCovering(Point{0, 0}, Point{5, 5}, 1)
-	inner := WindowCovering(Point{1, 1}, Point{4, 4}, 0)
-	if !outer.ContainsWindow(inner) || !outer.ContainsWindow(outer) {
-		t.Fatal("containment failed")
-	}
-	if inner.ContainsWindow(outer) {
-		t.Fatal("inner cannot contain outer")
-	}
-	if !inner.ContainsWindow(Window{}) {
-		t.Fatal("empty window must be contained in anything")
-	}
-}
-
 // TestWindowColumnTraversal: walking indexes column by column (fixed Q,
 // stride W) enumerates vertices in the canonical lexicographic point order.
 func TestWindowColumnTraversal(t *testing.T) {

@@ -249,33 +249,3 @@ func Exact(cfg *psys.Config, c psys.Color, beta, delta float64) bool {
 	}
 	return false
 }
-
-// PairwiseHetMatrix returns, for each unordered color pair (i, j), the
-// number of edges joining a color-i particle to a color-j particle. The
-// diagonal holds homogeneous edge counts per color. Useful for analyzing
-// which color classes share interfaces in k > 2 systems.
-func PairwiseHetMatrix(cfg *psys.Config) [][]int {
-	k := cfg.NumColors()
-	out := make([][]int, k)
-	for i := range out {
-		out[i] = make([]int, k)
-	}
-	for _, pt := range cfg.Particles() {
-		for _, nb := range pt.Pos.Neighbors() {
-			if !lattice.Less(pt.Pos, nb) {
-				continue // count each edge once
-			}
-			if col, ok := cfg.At(nb); ok {
-				a, b := int(pt.Color), int(col)
-				if a > b {
-					a, b = b, a
-				}
-				out[a][b]++
-				if a != b {
-					out[b][a]++
-				}
-			}
-		}
-	}
-	return out
-}

@@ -303,41 +303,3 @@ func BenchmarkClassify(b *testing.B) {
 		Classify(cfg, th)
 	}
 }
-
-func TestPairwiseHetMatrix(t *testing.T) {
-	// Triangle: colors 0-1-2, one edge per pair.
-	cfg := buildConfig(t, []psys.Particle{
-		{Pos: lattice.Point{Q: 0, R: 0}, Color: 0},
-		{Pos: lattice.Point{Q: 1, R: 0}, Color: 1},
-		{Pos: lattice.Point{Q: 0, R: 1}, Color: 2},
-	})
-	m := PairwiseHetMatrix(cfg)
-	if len(m) != 3 {
-		t.Fatalf("matrix size %d", len(m))
-	}
-	for i := 0; i < 3; i++ {
-		if m[i][i] != 0 {
-			t.Fatalf("diagonal [%d][%d] = %d", i, i, m[i][i])
-		}
-		for j := i + 1; j < 3; j++ {
-			if m[i][j] != 1 || m[j][i] != 1 {
-				t.Fatalf("pair (%d,%d) = %d/%d, want 1/1", i, j, m[i][j], m[j][i])
-			}
-		}
-	}
-}
-
-func TestPairwiseMatrixTotalsMatchConfig(t *testing.T) {
-	cfg := mustInit(t, 12, 13)
-	m := PairwiseHetMatrix(cfg)
-	hom, het := 0, 0
-	for i := range m {
-		hom += m[i][i]
-		for j := i + 1; j < len(m); j++ {
-			het += m[i][j]
-		}
-	}
-	if hom != cfg.HomEdges() || het != cfg.HetEdges() {
-		t.Fatalf("matrix totals hom=%d het=%d, config %d/%d", hom, het, cfg.HomEdges(), cfg.HetEdges())
-	}
-}

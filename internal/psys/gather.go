@@ -180,6 +180,14 @@ func (c *Config) GatherAt(i int, dir lattice.Direction) PairGather {
 	return gatherCells(c.plane, i+c.win.W+1, &c.pairOff[dir], c.pairNb[dir], dir)
 }
 
+// SameAt reports whether the cell at window index i, which must lie at
+// depth ≥ 1, and its neighbor in direction dir hold the same byte: for a
+// particle at i, whether lp holds a particle of its colour. It is the two
+// end loads of GatherAt, without the ring.
+func (c *Config) SameAt(i int, dir lattice.Direction) bool {
+	return c.cells[i] == c.cells[i+int(c.pairNb[dir])]
+}
+
 // gatherCells packs the pair neighborhood of the cell at index base of a
 // row-major cell plane, given the ring's index offsets off and lp's
 // offset nb: eight unrolled loads fill the ring lanes, the occupancy mask
